@@ -1,56 +1,21 @@
-// StringKeyCache: a string-keyed front end over CacheEngine.
+// HashStringKey: maps memcached byte-string keys onto the engine's 64-bit
+// key ids.
 //
 // The engine works on 64-bit key ids for speed; real Memcached clients use
-// byte-string keys (up to 250 bytes). This adapter hashes strings into the
-// 64-bit id space with a strong 128->64-bit mix. Collisions would make the
-// cache answer a GET with the wrong key's metadata, so the adapter keeps a
-// verification table of the exact key strings and treats a mismatch as a
-// miss (and evicts the squatting entry) — correctness is preserved even in
-// the astronomically unlikely collision case.
+// byte-string keys (up to 250 bytes). A collision would make the cache
+// answer a GET with the wrong key's metadata, so the string-keyed front
+// end (net::CacheService) keeps the exact key string next to each id and
+// resolves a mismatch as a miss — correctness is preserved even in the
+// astronomically unlikely collision case.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 
-#include "pamakv/cache/cache_engine.hpp"
+#include "pamakv/util/types.hpp"
 
 namespace pamakv {
 
 /// 64-bit hash of a byte string (FNV-1a core + splitmix finalizer).
 [[nodiscard]] KeyId HashStringKey(std::string_view key) noexcept;
-
-class StringKeyCache {
- public:
-  /// Takes ownership of a fully configured engine.
-  explicit StringKeyCache(std::unique_ptr<CacheEngine> engine)
-      : engine_(std::move(engine)) {}
-
-  GetResult Get(std::string_view key, Bytes size, MicroSecs miss_penalty);
-  SetResult Set(std::string_view key, Bytes size, MicroSecs penalty);
-  bool Del(std::string_view key);
-  [[nodiscard]] bool Contains(std::string_view key) const;
-
-  [[nodiscard]] CacheEngine& engine() noexcept { return *engine_; }
-  [[nodiscard]] const CacheEngine& engine() const noexcept { return *engine_; }
-  [[nodiscard]] const CacheStats& stats() const noexcept {
-    return engine_->stats();
-  }
-
-  /// Number of hash collisions resolved (expected: 0 in any real run).
-  [[nodiscard]] std::uint64_t collisions_resolved() const noexcept {
-    return collisions_;
-  }
-
- private:
-  /// True when `id` is cached and its stored string matches `key`.
-  [[nodiscard]] bool VerifiedHit(KeyId id, std::string_view key) const;
-
-  std::unique_ptr<CacheEngine> engine_;
-  /// id -> exact key string for entries currently cached.
-  std::unordered_map<KeyId, std::string> names_;
-  std::uint64_t collisions_ = 0;
-};
 
 }  // namespace pamakv

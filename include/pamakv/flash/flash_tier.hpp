@@ -17,9 +17,10 @@
 //    segment with the least live value (Σ value_of(class, band) over its
 //    live records) is the victim — the per-(class,band) slab-value
 //    comparison again, à la Memshare's log arbitration. Live records that
-//    still clear admission rewrite forward into the open segment; the
-//    rest drop with a tombstone and ghost-route through on_drop so the
-//    demand stays visible to the DRAM policy.
+//    still clear admission rewrite forward into the open segment, most
+//    valuable first, while the shard stays within its cap; the rest drop
+//    with a tombstone and ghost-route through on_drop so the demand stays
+//    visible to the DRAM policy. The shard ends at or under its cap.
 //  * Reads: never on the data path. The service takes a ReadTicket (a
 //    dup'd fd, so GC unlinking the segment mid-read is safe) and the IO
 //    thread preads + CRC-verifies the frame, then posts the completion
@@ -165,11 +166,12 @@ class FlashTier {
   /// cap transiently — call MaybeGc afterwards.
   bool AppendItem(std::size_t shard, KeyId id, const DemoteMeta& meta);
 
-  /// Runs value-based segment GC until the shard is back under its share
-  /// of cap_bytes (or nothing is left to collect). `value_of` is the
-  /// policy's incoming-value query; `on_drop` fires for every live
-  /// record dropped (read failure, expiry, value below the admission
-  /// floor) so the caller can ghost-route it.
+  /// Runs value-based segment GC until the shard is back at or under its
+  /// share of cap_bytes (or nothing is left to collect). `value_of` is the
+  /// policy's incoming-value query; `on_drop` (may be empty) fires for
+  /// every live record dropped (read failure, expiry, value below the
+  /// admission floor, no room under the cap) so the caller can
+  /// ghost-route it.
   using ValueFn = std::function<double(ClassId, SubclassId)>;
   using DropFn = std::function<void(KeyId, const Slot&)>;
   void MaybeGc(std::size_t shard, std::int64_t now_ns, const ValueFn& value_of,
@@ -298,6 +300,7 @@ class FlashTier {
   void GcVictim(ShardState& st, std::size_t shard, std::uint64_t victim_id,
                 std::int64_t now_ns, const ValueFn& value_of,
                 const DropFn& on_drop);
+
   struct PendingRead;
   void CompleteRead(PendingRead&& pending);
   void IoThreadMain();

@@ -4,12 +4,17 @@
 // The connection stages up to --batch-depth complete commands into one
 // Batch (keys and payloads copied out of the receive buffer, so the rx
 // vector may grow or compact while the batch is in flight), the
-// ShardExecutor routes the ops to their shard owners, and each op writes
-// its wire reply into its own `out` buffer. When every sub-batch has
-// completed, the connection concatenates the per-op buffers back in
-// request order — the re-sequencing step that makes batched execution
-// byte-identical to the serial path regardless of which shard finished
-// first.
+// ShardExecutor runs the ops shard group by shard group, and each op
+// writes its wire reply into its own `out` buffer. When every group has
+// finished, the connection concatenates the per-op buffers back in
+// request order — the re-sequencing step that keeps the response stream
+// byte-identical to executing the commands one by one, whichever group
+// finished first.
+//
+// Every input the connection consumes becomes an op. A parse error, an
+// oversized store or a fatal framing error is staged `answered`: its
+// reply is written at staging time and no shard ever sees it, so error
+// replies keep their place in the stream without a second execution path.
 //
 // Allocation discipline matches the rest of the request path: BatchOp
 // slots, their key/value strings, the per-op output buffers and the
@@ -18,18 +23,21 @@
 // runs the staged path without touching the heap.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/protocol.hpp"
 #include "pamakv/util/types.hpp"
 
 namespace pamakv::net {
 
 class EventLoop;
+
+/// Ops staged per batch unless configured otherwise (--batch-depth).
+inline constexpr std::size_t kDefaultBatchDepth = 64;
 
 /// One staged command (one key of a multi-key retrieval becomes one op).
 struct BatchOp {
@@ -46,17 +54,27 @@ struct BatchOp {
   bool with_cas = false;     ///< gets/gats: emit the CAS stamp
   bool touch = false;        ///< gat/gats: refresh the deadline
   bool append_end = false;   ///< last key of a retrieval: append "END\r\n"
-  /// The op produced its reply (including an in-band SERVER_ERROR). Ops
-  /// skipped after a mid-batch failure stay false so the connection's
-  /// metrics only observe verbs the engine actually served — the same
-  /// accounting the serial path gets by dropping the connection at the
-  /// failing op.
+  /// The reply was written at staging (parse error, oversized store,
+  /// fatal framing error); the executor skips the op.
+  bool answered = false;
+  /// The engine served the op (its reply may be an in-band SERVER_ERROR).
+  /// Answered ops and ops skipped after a mid-batch failure stay false,
+  /// so the connection's verb metrics only observe what the engine did.
   bool executed = false;
   std::vector<char> out;     ///< this op's wire reply bytes
 };
 
-/// A reusable batch of staged ops plus the executor's completion state.
-/// Owned by the Connection; referenced by owner-loop closures while in
+/// A shard group parked on a flash read: the op at `pos` waits for the
+/// record, every later op of the group waits behind it.
+struct ParkedRead {
+  std::size_t pos = 0;                 ///< parked op's position in its group
+  CacheService::FlashPending pending;  ///< armed by CacheService::ExecuteOps
+  bool ok = false;                     ///< the read's outcome, once landed
+  std::string payload;                 ///< the record bytes, once landed
+};
+
+/// A reusable batch of staged ops plus the executor's per-batch state.
+/// Owned by the Connection; referenced by flash-read completions while in
 /// flight, so it must outlive the flight (the server defers connection
 /// teardown until the batch completes).
 class Batch {
@@ -78,6 +96,7 @@ class Batch {
     op.with_cas = false;
     op.touch = false;
     op.append_end = false;
+    op.answered = false;
     op.executed = false;
     op.out.clear();
     return op;
@@ -91,22 +110,28 @@ class Batch {
   }
 
   // ---- executor state (set up by ShardExecutor::Execute) ----
+  // Touched only on the thread that runs the connection: flash-read
+  // completions are posted back to it before they reach the batch.
   /// Per-shard op indices (inner vectors keep capacity across batches).
   std::vector<std::vector<std::uint32_t>> groups;
   /// Shards with a non-empty group this batch, in first-op order.
   std::vector<std::uint32_t> active_shards;
-  /// Sub-batches still running, plus one dispatch guard held by Execute.
-  /// The decrement that reaches zero-after-guard owns completion.
-  std::atomic<std::uint32_t> pending{0};
-  /// A non-storage op hit bad_alloc mid-batch: the connection must close
-  /// (the serial path drops the connection in the same situation).
-  std::atomic<bool> failed{false};
-  /// The connection's serving loop: remote sub-batch completion posts
-  /// `on_complete` here.
+  /// Per-shard parked read (meaningful while that group waits).
+  std::vector<ParkedRead> parked;
+  /// Shards whose parked read landed and still needs completing.
+  std::vector<std::uint32_t> landed;
+  /// Groups parked on a read that has not landed or not been completed.
+  std::size_t waiting = 0;
+  /// The executor is on the stack; a read landing now is picked up there.
+  bool dispatching = false;
+  /// A non-storage op hit bad_alloc mid-batch: the connection must close.
+  bool failed = false;
+  /// The connection's serving loop; flash completions are posted here.
   EventLoop* home = nullptr;
-  /// Invoked on the home loop once every sub-batch is done. Bound once by
-  /// Connection::set_executor, so completion allocates nothing per batch.
-  std::function<void()> on_complete;
+  /// Invoked on the home loop each time parked reads have landed and
+  /// their groups resumed; the batch is done once `waiting` is 0. Bound
+  /// once by the Connection.
+  std::function<void()> on_progress;
 
  private:
   std::vector<BatchOp> ops_;

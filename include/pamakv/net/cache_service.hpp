@@ -10,9 +10,9 @@
 //    parallel);
 //  * actual payload bytes. The engine decides *whether* a key is cached;
 //    the shard's entry table holds the value, flags and CAS stamp, plus
-//    the exact key string for collision verification (same discipline as
-//    StringKeyCache: a 64-bit id collision is detected and resolved as a
-//    miss rather than served as a wrong value).
+//    the exact key string for collision verification: a 64-bit id
+//    collision is detected and resolved as a miss rather than served as a
+//    wrong value.
 //
 // Entries are never erased, only marked dead, so steady-state traffic over
 // a stable key population does zero heap allocation: dead entries keep
@@ -20,7 +20,7 @@
 // and they remember the key's last size/penalty so a GET miss is routed to
 // the ghost list of the right class/subclass — exactly what value-gated
 // policies (PAMA) need to earn the key space back. Table growth is
-// bounded by the number of distinct keys ever seen, as in StringKeyCache.
+// bounded by the number of distinct keys ever seen.
 #pragma once
 
 #include <cstdint>
@@ -97,9 +97,6 @@ struct ArithmeticResult {
 };
 
 // ---- shared wire-reply formatting ----
-// Used by both the serial connection path and the batched executor, so
-// the two execution paths are byte-identical by construction (the
-// equivalence suite asserts it, these make it structural).
 
 /// "STORED\r\n" / "NOT_STORED\r\n" / "EXISTS\r\n" / "NOT_FOUND\r\n".
 [[nodiscard]] std::string_view StoreReplyText(StoreStatus status) noexcept;
@@ -157,6 +154,24 @@ class CacheService {
  public:
   using EngineFactory = std::function<std::unique_ptr<CacheEngine>(Bytes)>;
 
+  /// How a flash-aware get ended: kDone means the reply is complete;
+  /// kDeferred means the key is flash-resident and `pending` carries a
+  /// scheduled read — read it (SubmitFlashRead) and finish the get with
+  /// CompleteFlashGet once the payload arrives.
+  enum class FlashOutcome : std::uint8_t { kDone, kDeferred };
+
+  /// One scheduled flash read. The engine was already charged the miss
+  /// (demand visible at schedule time); `cas` pins the slot version so
+  /// the completion can detect delete/overwrite races that happened while
+  /// the read was in flight.
+  struct FlashPending {
+    bool armed = false;
+    std::size_t shard = 0;
+    KeyId id = 0;
+    std::uint64_t cas = 0;
+    flash::ReadTicket ticket;
+  };
+
   /// Builds `shards` engines, each given capacity/shards via the factory.
   CacheService(const CacheServiceConfig& config, const EngineFactory& factory);
 
@@ -168,10 +183,6 @@ class CacheService {
   /// routed to the ghost list of the class/subclass it occupied, so the
   /// key's demand stays visible to the allocation policy.
   bool Get(std::string_view key, std::vector<char>& out, bool with_cas);
-
-  /// GAT/GATS: Get that also moves the deadline to `exptime_s` on a hit.
-  bool GetAndTouch(std::string_view key, std::int64_t exptime_s,
-                   std::vector<char>& out, bool with_cas);
 
   /// The six storage verbs. `flags` is the miss penalty in µs (0 => the
   /// configured default); `exptime_s` uses memcached semantics (0 never,
@@ -273,16 +284,17 @@ class CacheService {
     return ShardedCache::ShardIndexFor(id, shards_.size());
   }
 
-  /// Executes a shard-affine sub-batch: takes shard `index`'s lock once,
-  /// reads the clock once, and runs each listed op in request order,
-  /// writing each op's wire reply into its own buffer. `idx` indexes into
-  /// `batch`; every listed op must already be routed to this shard.
-  void ExecuteOps(std::size_t index, Batch& batch, const std::uint32_t* idx,
-                  std::size_t n);
-  /// ExecuteOps via try_lock: returns false (no ops run) on contention.
-  /// The executor's striped read path calls this off the owner thread.
-  bool TryExecuteOps(std::size_t index, Batch& batch, const std::uint32_t* idx,
-                     std::size_t n);
+  /// Executes a shard group: takes shard `index`'s lock once, reads the
+  /// clock once, runs the listed ops in request order (each writes its
+  /// wire reply into its own buffer), and commits the WAL once. `idx`
+  /// indexes into `batch`; every listed op must already be routed to this
+  /// shard. Returns how many ops finished. Fewer than `n` means op
+  /// `idx[result]` needs a flash record: `*park` is armed with its read,
+  /// and the caller finishes the op with CompleteFlashOp before running
+  /// the rest of the group.
+  std::size_t ExecuteOps(std::size_t index, Batch& batch,
+                         const std::uint32_t* idx, std::size_t n,
+                         FlashPending* park);
 
   /// Test access: shard `index`'s engine, for snapshot comparisons. The
   /// caller must guarantee the service is quiescent.
@@ -352,67 +364,44 @@ class CacheService {
   /// copy; survivors get monotonic deadlines against the current anchor.
   void RecoverFlash();
 
-  /// How a flash-aware verb ended: kDone means the reply is complete;
-  /// kDeferred means the key is flash-resident and `pending` carries a
-  /// scheduled read — submit it with SubmitFlashRead and finish the op
-  /// with the matching CompleteFlash* once the payload arrives.
-  enum class FlashOutcome : std::uint8_t { kDone, kDeferred };
+  /// Hands the pending read to the tier's IO thread (completed on the
+  /// caller when the tier runs none). Call outside the shard lock; takes
+  /// ownership of the ticket fd.
+  void SubmitFlashRead(FlashPending& pending, flash::FlashTier::Poster poster,
+                       flash::FlashTier::ReadCallback cb);
+  /// Reads the pending record synchronously on the caller; takes
+  /// ownership of the ticket fd.
+  bool ReadFlashNow(FlashPending& pending, std::string* payload);
 
-  /// One scheduled flash read. The engine was already charged the miss
-  /// (demand visible at schedule time); `cas` pins the slot version so
-  /// the completion can detect delete/overwrite races that happened while
-  /// the read was in flight.
-  struct FlashPending {
-    bool armed = false;
-    std::size_t shard = 0;
-    KeyId id = 0;
-    std::uint64_t cas = 0;
-    flash::ReadTicket ticket;
-  };
+  /// Finishes an op that ExecuteOps parked, once its read landed. Re-takes
+  /// the shard lock, revalidates the slot against races (DRAM re-store,
+  /// delete, flush_all, re-demotion — detected via the pinned cas),
+  /// promotes the record into DRAM through the normal set path, then
+  /// re-runs the op, so PAMA's accounting stays exact: miss at schedule +
+  /// set at promote + hit at the re-run. When the engine cannot seat the
+  /// item, a get is served and an incr/decr applied directly against the
+  /// tier, and an append/prepend answers NOT_STORED.
+  void CompleteFlashOp(Batch& batch, BatchOp& op, const FlashPending& pending,
+                       bool read_ok, std::string_view payload);
 
+  // Single-call forms for callers that drive flash reads themselves (the
+  // flash bench and the per-layer trace), over the same core.
   /// Get/GAT that defers instead of missing when the key lives on flash.
   FlashOutcome GetFlashAware(std::string_view key, std::vector<char>& out,
                              bool with_cas, bool touch, std::int64_t exptime_s,
                              bool* hit, FlashPending* pending);
-  /// Store that defers append/prepend on a flash-resident key (the old
-  /// value is on disk); every other verb resolves synchronously from slot
-  /// metadata.
+  /// Store that never defers: every verb resolves from slot metadata, and
+  /// an append/prepend on a flash-resident key answers NOT_STORED (only
+  /// ExecuteOps parks those for the read).
   FlashOutcome StoreFlashAware(StoreVerb verb, std::string_view key,
                                std::uint32_t flags, std::int64_t exptime_s,
                                std::string_view value, std::uint64_t cas_unique,
                                StoreStatus* status, FlashPending* pending);
-  /// incr/decr that defers on a flash-resident key so the mutation can
-  /// promote-then-mutate atomically under the shard lock (never a bare
-  /// NOT_FOUND while the value sits on flash).
-  FlashOutcome IncrDecrFlashAware(std::string_view key, std::uint64_t delta,
-                                  bool increment, ArithmeticResult* result,
-                                  FlashPending* pending);
-
-  /// Hands the pending read to the tier's IO thread. Call outside the
-  /// shard lock; takes ownership of the ticket fd.
-  void SubmitFlashRead(FlashPending& pending, flash::FlashTier::Poster poster,
-                       flash::FlashTier::ReadCallback cb);
-
-  // Completions, run on the owner loop once the read lands. Each re-takes
-  // the shard lock, revalidates the slot against races (DRAM re-store,
-  // delete, flush_all, re-demotion — detected via the pinned cas),
-  // promotes the record into DRAM through the normal set path (PAMA
-  // accounting stays exact: miss at schedule + set at promote + hit at
-  // serve), then finishes the original verb. When the engine cannot seat
-  // the item the value is served/mutated directly against the tier.
+  /// CompleteFlashOp for a deferred GetFlashAware; returns the hit.
   bool CompleteFlashGet(const FlashPending& pending, bool read_ok,
                         std::string_view payload, std::string_view key,
                         std::vector<char>& out, bool with_cas, bool touch,
                         std::int64_t exptime_s);
-  StoreStatus CompleteFlashStore(const FlashPending& pending, bool read_ok,
-                                 std::string_view payload, StoreVerb verb,
-                                 std::string_view key, std::uint32_t flags,
-                                 std::int64_t exptime_s, std::string_view value,
-                                 std::uint64_t cas_unique);
-  ArithmeticResult CompleteFlashIncrDecr(const FlashPending& pending,
-                                         bool read_ok, std::string_view payload,
-                                         std::string_view key,
-                                         std::uint64_t delta, bool increment);
 
   // Monotonic <-> unix-ns conversion against the service's (unix, mono)
   // anchor. The *Deadline* pair preserves the expiry sentinels (0 never,
@@ -506,14 +495,11 @@ class CacheService {
   /// Files the entry's deadline in the shard's wheel unless that exact
   /// deadline is already filed.
   void ScheduleExpiry(Shard& shard, Entry& entry, KeyId id);
-  /// Shared body of Get and GetAndTouch.
-  bool GetInternal(std::string_view key, std::vector<char>& out, bool with_cas,
-                   bool touch, std::int64_t exptime_s);
-
-  // Lock-held verb bodies: the public wrappers hash the key, take the
-  // shard lock and read the clock per op; the batched executor calls
-  // these directly with one lock acquisition and one clock read per
-  // sub-batch. Identical logic either way — the wrappers are one-liners.
+  // Lock-held verb bodies: the batch path runs them with one lock
+  // acquisition and one clock read per shard group; the single-call
+  // public wrappers hash the key, take the lock and read the clock per
+  // call. A non-null `flash_pending` lets a flash-resident key arm a read
+  // (the caller finishes the verb once it lands) instead of missing.
   bool GetLocked(Shard& shard, KeyId id, std::string_view key,
                  std::vector<char>& out, bool with_cas, bool touch,
                  std::int64_t exptime_s, std::int64_t now,
@@ -531,15 +517,22 @@ class CacheService {
                    std::int64_t exptime_s, std::int64_t now);
   bool DelLocked(Shard& shard, KeyId id, std::string_view key,
                  std::int64_t now);
-  /// Runs the listed ops in order under the (already held) shard lock.
-  void ExecuteOpsLocked(Shard& shard, Batch& batch, const std::uint32_t* idx,
-                        std::size_t n);
-  /// One staged op; wire reply goes into op.out. bad_alloc from a storage
-  /// op degrades to the serial path's SERVER_ERROR reply; from any other
-  /// verb it marks the batch failed (the connection closes, as serial
-  /// would).
-  void ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
-                       std::int64_t now);
+  /// Runs the listed ops in order under the (already held) shard lock;
+  /// returns how many finished (see ExecuteOps).
+  std::size_t ExecuteOpsLocked(Shard& shard, Batch& batch,
+                               const std::uint32_t* idx, std::size_t n,
+                               FlashPending* park);
+  /// One op; its wire reply goes into op.out. Returns whether the verb
+  /// found its item (hit, stored, applied). When `park` comes back armed
+  /// the op is waiting for a flash read and wrote nothing. May throw
+  /// bad_alloc (see FailOp).
+  bool RunOpLocked(Shard& shard, BatchOp& op, std::int64_t now,
+                   FlashPending* park);
+  /// bad_alloc recovery for one op: a storage op answers SERVER_ERROR
+  /// in-band (it staged its allocations before mutating, so the cache is
+  /// intact) and the batch goes on; any other verb fails the batch and
+  /// the connection closes.
+  static void FailOp(Batch& batch, BatchOp& op);
 
   // ---- flash internals (all under the shard lock) ----
 
@@ -573,6 +566,16 @@ class CacheService {
                                     const FlashPending& pending, bool read_ok,
                                     std::string_view payload,
                                     flash::Record* rec, std::int64_t now);
+  /// The body of CompleteFlashOp under the shard lock: promote, then
+  /// re-run the op (or serve it from the tier). Returns RunOpLocked's
+  /// found-the-item result.
+  bool FinishParkedLocked(Shard& shard, BatchOp& op,
+                          const FlashPending& pending, bool read_ok,
+                          std::string_view payload, std::int64_t now);
+  /// kDirect: answers a parked op from the record in `rec` with the slot
+  /// left on flash (no DRAM seat). Returns whether it found the item.
+  bool ServeFromFlashLocked(Shard& shard, BatchOp& op,
+                            const flash::Record& rec, std::int64_t now);
 
   /// Per-subclass sum of a counter across shards, under each shard's lock.
   template <typename Fn>

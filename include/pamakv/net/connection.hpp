@@ -7,11 +7,17 @@
 // directly, which is also how the zero-allocation harness measures the
 // read→parse→respond path without socket noise.
 //
+// There is one execution path. Every complete command is staged as a
+// BatchOp — a parse error, an oversized store or a fatal framing error as
+// an op that already holds its reply — and the batch runs through the
+// ShardExecutor. The barrier verbs (stats, flush_all, version, bgsave,
+// quit) end the batch and run right after it is sequenced.
+//
 // Buffer discipline: one receive and one transmit vector per connection,
 // trimmed by moving a consumed-offset and compacted by memmove — they
 // grow to the connection's high-water mark once and are then reused, so
-// steady-state request handling performs no heap allocation (the same
-// rule PR 1 enforced inside the engine).
+// steady-state request handling performs no heap allocation (the engine
+// keeps the same rule).
 #pragma once
 
 #include <cstdint>
@@ -22,13 +28,13 @@
 #include "pamakv/net/batch.hpp"
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/protocol.hpp"
+#include "pamakv/net/shard_executor.hpp"
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/metrics.hpp"
 
 namespace pamakv::net {
 
 class EventLoop;
-class ShardExecutor;
 
 /// Shared per-server instrumentation hooks a Connection records into.
 /// All pointers may be null (that series is simply not recorded); the
@@ -91,57 +97,36 @@ class Connection {
   /// True once Ingest decided the connection should close.
   [[nodiscard]] bool closing() const noexcept { return closing_; }
 
-  // ---- batched (shard-affine) execution ----
-  /// Switches Ingest to the batched path: complete pipelined commands are
-  /// staged into a Batch (up to `depth` ops) and handed to `executor`,
-  /// which routes per-shard sub-batches to their owner loops; responses
-  /// are re-sequenced into request order when the batch completes.
-  /// `home` is the loop this connection is served on (null only with an
-  /// unbound executor, which runs fully inline — the test/bench mode).
-  /// `on_done` fires on the home loop after an asynchronous batch has
-  /// been sequenced (the server flushes output and re-arms timers there);
-  /// it may destroy the connection. nullptr executor restores the serial
-  /// path.
+  // ---- execution ----
+  /// Every complete command is staged into a Batch (up to `depth` ops;
+  /// 0 clamps to 1) and run through `executor` — nullptr selects the
+  /// connection's own — with replies re-sequenced into request order.
+  /// `home` is the loop this connection is served on. With one, a batch
+  /// whose shard group parks on a flash read completes asynchronously:
+  /// the replies that are ready go out first, and `on_done` fires on
+  /// `home` whenever more replies were appended, last once the batch has
+  /// been sequenced (the server flushes output and re-arms timers there;
+  /// after the last call it may destroy the connection). Without one,
+  /// flash reads run synchronously and every batch completes inside
+  /// Ingest.
   void set_executor(ShardExecutor* executor, std::size_t depth,
                     EventLoop* home, std::function<void()> on_done);
-  /// A dispatched batch has sub-batches still running on other loops.
+  /// A dispatched batch is parked on a flash read.
   [[nodiscard]] bool batch_in_flight() const noexcept {
     return batch_in_flight_;
   }
-  /// Completion hook: runs on the home loop when the last sub-batch of an
-  /// asynchronous batch finishes (wired as Batch::on_complete). Public
-  /// for the multi-loop test harness; the server never calls it directly.
-  void OnBatchComplete();
 
   /// Set by the serving loop when close was requested mid-flight: the fd
-  /// is already torn down, the Connection object waits for the batch (or
-  /// the in-flight flash read).
+  /// is already torn down, the Connection object waits for the batch.
   bool close_deferred = false;
 
-  // ---- flash victim tier (serial path only) ----
-  /// Wires the asynchronous flash-read continuation: completions are
-  /// posted to `loop` (nullptr completes synchronously on the submitting
-  /// thread — detached test connections), and `on_done` fires on that
-  /// loop whenever a completion produced output or finished the request
-  /// (the server flushes and re-arms there; it may destroy the
-  /// connection). The flash path engages whenever the service has a tier
-  /// attached and the connection runs serially.
-  void set_flash(EventLoop* loop, std::function<void()> on_done);
-  /// A flash read is in flight; Ingest only accumulates until it lands.
-  [[nodiscard]] bool flash_in_flight() const noexcept {
-    return flash_in_flight_;
-  }
-  /// Completion entry point (public for the test harness; normally
-  /// reached via the tier's IO thread posting to the wired loop).
-  void OnFlashComplete(bool ok, std::string payload);
-
   // ---- lifecycle state (owned by the serving loop; see server.cpp) ----
-  /// A request is in flight: a partial command line, a set awaiting its
+  /// A request is in flight: a partial command line, a store awaiting its
   /// payload, an oversized payload still being swallowed, or a batch
-  /// executing on the shard owners.
+  /// parked on a flash read.
   [[nodiscard]] bool mid_request() const noexcept {
-    return awaiting_data_ || discard_remaining_ > 0 ||
-           rx_head_ < rx_.size() || batch_in_flight_ || flash_in_flight_;
+    return discard_remaining_ > 0 || rx_head_ < rx_.size() ||
+           batch_in_flight_;
   }
   /// Records I/O activity at `now_ns` and tracks when the current
   /// in-flight request started (-1 when none is in flight; 0 is a valid
@@ -183,33 +168,41 @@ class Connection {
   std::int64_t armed_deadline_ns = 0;
 
  private:
-  /// Consumes as many complete commands as the buffer holds.
-  void ProcessBuffer();
-  /// Executes one parsed command line; storage verbs switch to data mode.
-  void ExecuteLine(const Command& cmd);
-  void ExecuteRetrieval(const Command& cmd);
-  /// Completes the staged storage verb once its payload has arrived.
-  void FinishStorage(std::string_view data);
-  /// Records `verb`'s service time from `start_ns` to now, when wired.
-  void ObserveVerb(Verb verb, std::int64_t start_ns) noexcept;
-  void ReleaseConsumed();
-  void FatalClientError(std::string_view message);
-
-  // ---- batched path ----
-  /// What StageNextCommand decided about the bytes at rx_head_.
+  /// What StageNextCommand did with the bytes at rx_head_.
   enum class StageStatus : std::uint8_t {
     kStaged,    ///< consumed input (an op staged, or discard progressed)
     kNeedMore,  ///< incomplete command; wait for more bytes
-    kBarrier,   ///< must not batch: drain the batch, then run serially
+    kFull,      ///< a multi-key retrieval does not fit; dispatch first
+    kBarrier,   ///< consumed a barrier verb; dispatch, then run it
   };
-  /// Stages complete batchable commands and dispatches batches until the
-  /// input runs dry, a batch goes into flight, or the connection closes.
-  void ProcessBatched();
-  /// Parses (without consuming on kNeedMore/kBarrier) the next command.
+  /// Stages complete commands and dispatches batches until the input runs
+  /// dry, a batch parks on a flash read, or the connection closes.
+  void Process();
+  /// Parses the next command and stages it (consuming its bytes) unless
+  /// it is incomplete or does not fit the batch.
   StageStatus StageNextCommand();
-  /// Appends every op's reply to tx_ in request order and resets the
-  /// batch; closes the connection when the batch failed.
-  void SequenceBatch();
+  /// Stages an op whose reply is already known.
+  BatchOp& StageAnswered(std::string_view reply);
+  /// Stages an answered "CLIENT_ERROR <message>".
+  void StageClientError(std::string_view message);
+  /// A framing error the stream cannot recover from: the reply is staged
+  /// and the connection closes once the batch ahead of it is sequenced.
+  void StageFatal(std::string_view message);
+  /// Appends the replies of the batch's finished prefix to tx_.
+  void SequenceReady();
+  /// Appends one op's reply to tx_ and observes its verb.
+  void Sequence(const BatchOp& op);
+  /// Appends every remaining reply in request order, resets the batch,
+  /// then runs the barrier verb that ended it, if any.
+  void FinishBatch();
+  /// Runs on the home loop as a parked batch's reads land (wired as
+  /// Batch::on_progress).
+  void OnBatchProgress();
+  /// Runs the pending barrier verb (stats/flush_all/version/bgsave/quit).
+  void RunBarrier();
+  /// Records `verb`'s service time from `start_ns` to now, when wired.
+  void ObserveVerb(Verb verb, std::int64_t start_ns) noexcept;
+  void ReleaseConsumed();
 
   CacheService* service_;
   int fd_;
@@ -219,19 +212,6 @@ class Connection {
   std::vector<char> tx_;
   std::size_t tx_head_ = 0;   ///< first unsent byte in tx_
 
-  // Pending storage verb (set/add/replace/append/prepend/cas): command
-  // line seen, waiting for <bytes>CRLF of payload. The key is copied out
-  // of rx_ because the buffer may grow/compact while we wait for the rest
-  // of the payload.
-  bool awaiting_data_ = false;
-  Verb pending_verb_ = Verb::kSet;
-  char pending_key_[kMaxKeyBytes];
-  std::size_t pending_key_len_ = 0;
-  std::uint32_t pending_flags_ = 0;
-  std::int64_t pending_exptime_ = 0;
-  std::uint64_t pending_bytes_ = 0;
-  std::uint64_t pending_cas_ = 0;
-  bool pending_noreply_ = false;
   /// Oversized store: swallow this many raw bytes without buffering them.
   std::uint64_t discard_remaining_ = 0;
   bool closing_ = false;
@@ -242,58 +222,26 @@ class Connection {
   std::size_t pause_threshold_ = 0;
   const ConnectionMetrics* metrics_ = nullptr;
 
-  // Batched execution (null executor_ = serial path, the default).
-  ShardExecutor* executor_ = nullptr;
-  std::size_t batch_depth_ = 0;
+  ShardExecutor own_executor_;
+  ShardExecutor* executor_;
+  std::size_t batch_depth_ = kDefaultBatchDepth;
   EventLoop* home_loop_ = nullptr;
   Batch batch_;
+  std::size_t sequenced_ = 0;  ///< ops of batch_ whose replies are in tx_
   bool batch_in_flight_ = false;
   std::function<void()> on_batch_done_;
   std::int64_t batch_start_ns_ = -1;  ///< dispatch time for verb metrics
 
-  // ---- flash continuation state ----
-  /// Which verb the in-flight flash read belongs to.
-  enum class FlashOp : std::uint8_t { kNone, kRetrieval, kStorage,
-                                      kArithmetic };
-  /// True when the serial path should consult flash (tier attached and
-  /// not running batched).
-  [[nodiscard]] bool FlashActive() const noexcept;
-  /// Arms the continuation for the op the service just deferred; the
-  /// actual submit happens in PumpFlash once the rx cursor is settled.
-  void StageFlashWait(FlashOp op);
-  /// Submits armed reads. Synchronous completions (no IO thread) loop
-  /// here instead of recursing.
-  void PumpFlash();
-  /// Finishes the deferred verb with the read's payload; may arm another
-  /// wait (multi-key retrievals).
-  void DispatchFlashCompletion(bool ok, std::string_view payload);
-  /// Runs the keys left after a mid-retrieval deferral; appends END when
-  /// the list drains without another deferral.
-  void ContinueFlashRetrieval();
-
-  CacheService::FlashPending flash_pending_;
-  FlashOp flash_op_ = FlashOp::kNone;
-  bool flash_in_flight_ = false;
-  bool flash_submit_needed_ = false;
-  bool in_flash_pump_ = false;
-  EventLoop* flash_loop_ = nullptr;
-  std::function<void()> on_flash_done_;
-  // The deferred op's arguments, copied out of rx_ (the buffer may grow
-  // or compact while the read is in flight).
-  std::string flash_key_;
-  std::vector<std::string> flash_rest_keys_;  ///< multi-get remainder
-  std::size_t flash_rest_pos_ = 0;
-  bool flash_with_cas_ = false;
-  bool flash_touch_ = false;
-  std::int64_t flash_exptime_ = 0;
-  std::string flash_value_;
-  std::uint32_t flash_flags_ = 0;
-  std::uint64_t flash_cas_ = 0;
-  std::uint64_t flash_delta_ = 0;
-  bool flash_increment_ = false;
-  bool flash_noreply_ = false;
-  Verb flash_wire_verb_ = Verb::kGet;
-  std::int64_t flash_start_ns_ = -1;  ///< defer time for verb metrics
+  /// The barrier verb that ended the staged batch (consumed, not yet run).
+  struct Barrier {
+    bool pending = false;
+    bool fatal = false;  ///< a framing error: close, run no verb
+    Verb verb = Verb::kVersion;
+    std::int64_t exptime = 0;  ///< flush_all delay
+    bool noreply = false;
+    bool detail = false;       ///< stats detail
+  };
+  Barrier barrier_;
 };
 
 }  // namespace pamakv::net

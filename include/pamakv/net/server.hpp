@@ -52,15 +52,9 @@ struct ServerConfig {
   std::uint16_t port = 11211;  ///< 0 => ephemeral, see Server::port()
   std::size_t threads = 1;     ///< event-loop threads
 
-  // ---- shard-affine execution (DESIGN.md §12) ----
-  /// Max pipelined commands staged into one batch before dispatching to
-  /// the shard owner loops. 0 (the default) keeps the serial per-command
-  /// path; server/main.cpp turns it on at 64.
-  std::size_t batch_depth = 0;
-  /// Striped read fast path: an all-read sub-batch for a remote shard may
-  /// run on the requesting loop under try_lock instead of hopping to the
-  /// owner. Only meaningful with batch_depth > 0.
-  bool striped_reads = true;
+  // ---- batched execution (DESIGN.md §12) ----
+  /// Max pipelined commands staged into one batch (0 clamps to 1).
+  std::size_t batch_depth = kDefaultBatchDepth;
 
   // ---- lifecycle knobs ----
   std::size_t max_conns = 0;          ///< shed accepts above this (0 = off)
@@ -218,10 +212,9 @@ class Server {
   /// quiescent draining connection, refresh the epoll interest mask and
   /// lifecycle timers. `open` false forces a close (read side saw EOF).
   void PostProcess(Loop& loop, Connection& conn, bool open);
-  /// Runs on the home loop after a connection's asynchronous work — a
-  /// sequenced batch (set_executor) or a flash-read completion
-  /// (set_flash) — finalizes a deferred close or post-processes the
-  /// fresh output.
+  /// Runs on the home loop when a batch parked on a flash read appended
+  /// replies, last once it has been sequenced: finalizes a deferred close
+  /// or post-processes the fresh output.
   void OnBatchDone(Loop& loop, Connection& conn);
   void CloseConnection(Loop& loop, int fd);
   /// Earliest idle/request deadline for `conn`, 0 when none applies.
@@ -241,8 +234,8 @@ class Server {
   ServerConfig config_;
   CacheService* service_;
   util::Clock* clock_;
-  /// Shard-affine batch router; non-null only with batch_depth > 0 while
-  /// the server is running (built in Start, released in Teardown).
+  /// Batch runner shared by every connection (its counters feed `stats`);
+  /// built in Start, released in Teardown.
   std::unique_ptr<ShardExecutor> executor_;
   /// Latency hooks shared by every connection; inert until EnableMetrics
   /// fills it (clock_ set <=> enabled).

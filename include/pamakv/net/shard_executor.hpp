@@ -1,25 +1,21 @@
-// ShardExecutor: routes a connection's staged Batch to shard owners.
+// ShardExecutor: runs a connection's staged Batch, one shard group at a
+// time, on the connection's own thread.
 //
-// Shard-affine execution: Bind() assigns each CacheService shard to
-// exactly one event loop (shard s -> loops[s % loops.size()]), and
-// Execute() hands each per-shard sub-batch to its owner — inline when the
-// owner is the requesting connection's own loop, via EventLoop::Post
-// (eventfd marshaling) otherwise. One handoff and one lock acquisition
-// are amortized across the whole sub-batch instead of one mutex
-// round-trip per op, which is what turns a deep pipeline from N lock
-// acquisitions into ~num_shards.
+// Execute() groups the ops by shard and runs each group inline through
+// CacheService::ExecuteOps: one shard-lock acquisition, one clock read and
+// one WAL commit per group instead of per op. Groups are independent (a
+// key routes to exactly one shard), so their relative order does not
+// matter; within a group, request order is execution order.
 //
-// Striped read fast path: a sub-batch of pure reads (get/gets) for a
-// non-home shard may execute on the requesting thread under
-// CacheService::TryExecuteOps (mutex try_lock) — correct because every
-// shard op still runs under that shard's mutex; affinity is a throughput
-// optimization, not a safety requirement. On contention it falls back to
-// the owner post, so the owner thread never blocks behind a reader.
-//
-// Unbound (Bind never called, or called with no loops), every sub-batch
-// executes inline on the caller: the synchronous mode the equivalence
-// and zero-allocation tests drive, and what a --loop-threads=1 server
-// effectively runs.
+// Flash reads park a group instead of blocking the batch. When an op's key
+// lives on the flash tier, ExecuteOps stops at that op with an armed
+// FlashPending. With a home loop the tier's IO thread reads the record and
+// posts the completion back to that loop; without one (tests and benches
+// driving the executor directly) the read runs synchronously right here.
+// Either way CacheService::CompleteFlashOp promotes the record through the
+// set path and re-runs the op, and then the group resumes at its next op:
+// per-shard order and the miss / promote-set / hit accounting are exactly
+// those of running the commands one by one.
 #pragma once
 
 #include <atomic>
@@ -33,30 +29,19 @@ namespace pamakv::net {
 class CacheService;
 class EventLoop;
 
-struct ShardExecutorConfig {
-  /// Enable the striped read fast path for all-read remote sub-batches.
-  bool inline_reads = true;
-};
-
 class ShardExecutor {
  public:
-  explicit ShardExecutor(CacheService& service,
-                         const ShardExecutorConfig& config = {});
+  explicit ShardExecutor(CacheService& service);
 
   ShardExecutor(const ShardExecutor&) = delete;
   ShardExecutor& operator=(const ShardExecutor&) = delete;
 
-  /// Assigns shard owners round-robin over `loops`. Empty => every
-  /// sub-batch executes inline on the calling thread. Call before any
-  /// Execute; not thread-safe against in-flight batches.
-  void Bind(const std::vector<EventLoop*>& loops);
-
-  /// Routes and runs `batch`. Returns true when every sub-batch completed
-  /// synchronously (the caller sequences the responses immediately);
-  /// false when at least one sub-batch is running on another loop — the
-  /// batch is in flight and `batch.on_complete` will be posted to `home`
-  /// once the last sub-batch finishes. `home` may be null only when the
-  /// executor is unbound.
+  /// Routes and runs `batch` on the calling thread, which must be `home`'s
+  /// loop thread when `home` is set. Returns true when every group
+  /// finished; false when a group is parked on an asynchronous flash read
+  /// — `batch.on_progress` then runs on `home` as parked reads land,
+  /// until `batch.waiting` is 0. With `home` null every read is
+  /// synchronous and this always returns true.
   bool Execute(Batch& batch, EventLoop* home);
 
   // ---- counters (relaxed; exported via server stats) ----
@@ -66,28 +51,19 @@ class ShardExecutor {
   [[nodiscard]] std::uint64_t BatchedOps() const noexcept {
     return batched_ops_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t OwnerPosts() const noexcept {
-    return owner_posts_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t InlineReadBatches() const noexcept {
-    return inline_read_batches_.load(std::memory_order_relaxed);
-  }
 
-  /// "STAT batch_*" lines for the server's stats surface.
+  /// "STAT executor_*" lines for the server's stats surface.
   void AppendExecutorStats(std::vector<char>& out) const;
 
  private:
-  void ExecuteGroup(Batch& batch, std::uint32_t shard);
+  /// Runs `shard`'s group from position `pos` until it finishes or parks.
+  void RunGroup(Batch& batch, std::uint32_t shard, std::size_t pos);
+  /// Completes every landed read and resumes its group.
+  void ResumeLanded(Batch& batch);
 
   CacheService* service_;
-  bool inline_reads_;
-  /// Owner loop per shard index; empty => unbound (inline execution).
-  std::vector<EventLoop*> owners_;
-
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_ops_{0};
-  std::atomic<std::uint64_t> owner_posts_{0};
-  std::atomic<std::uint64_t> inline_read_batches_{0};
 };
 
 }  // namespace pamakv::net

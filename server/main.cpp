@@ -36,15 +36,11 @@ int Main(int argc, char** argv) {
       .Describe("policy", "allocation scheme per shard (default pama)")
       .Describe("shards", "independent engines, keys hash-routed (default 4)")
       .Describe("threads", "event-loop threads (default 1)")
-      .Describe("loop-threads",
-                "alias for --threads, the shard-owner loops of the "
-                "shard-affine data path (DESIGN.md §12)")
+      .Describe("loop-threads", "alias for --threads (DESIGN.md §12)")
       .Describe("batch-depth",
-                "max pipelined commands dispatched to the shard owners as "
-                "one batch; 0 = serial per-command path (default 64)")
-      .Describe("striped-reads",
-                "run all-read sub-batches for remote shards on the "
-                "requesting loop via try_lock; 1 = on (default 1)")
+                "max pipelined commands a connection runs as one batch, "
+                "one shard lock and WAL commit per shard group; 0 counts "
+                "as 1 (default 64)")
       .Describe("capacity-mb", "total cache capacity in MiB (default 256)")
       .Describe("default-penalty-us",
                 "miss penalty for keys stored with flags=0 (default 1000)")
@@ -141,9 +137,8 @@ int Main(int argc, char** argv) {
   server_cfg.threads = static_cast<std::size_t>(
       args.Has("loop-threads") ? args.GetInt("loop-threads", 1)
                                : args.GetInt("threads", 1));
-  server_cfg.batch_depth =
-      static_cast<std::size_t>(args.GetInt("batch-depth", 64));
-  server_cfg.striped_reads = args.GetInt("striped-reads", 1) != 0;
+  server_cfg.batch_depth = static_cast<std::size_t>(args.GetInt(
+      "batch-depth", static_cast<std::int64_t>(net::kDefaultBatchDepth)));
   server_cfg.max_conns =
       static_cast<std::size_t>(args.GetInt("max-conns", 0));
   server_cfg.idle_timeout_ms = args.GetInt("idle-timeout-ms", 0);

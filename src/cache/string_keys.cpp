@@ -15,59 +15,4 @@ KeyId HashStringKey(std::string_view key) noexcept {
   return Mix64(h);
 }
 
-bool StringKeyCache::VerifiedHit(KeyId id, std::string_view key) const {
-  const auto it = names_.find(id);
-  return it != names_.end() && it->second == key;
-}
-
-GetResult StringKeyCache::Get(std::string_view key, Bytes size,
-                              MicroSecs miss_penalty) {
-  const KeyId id = HashStringKey(key);
-  if (engine_->Contains(id)) {
-    if (!VerifiedHit(id, key)) {
-      // A different string occupies this id: collision. Drop the squatter
-      // so both keys see consistent misses from here on.
-      ++collisions_;
-      engine_->Del(id);
-      names_.erase(id);
-    }
-  } else {
-    // The engine evicted this id at some point; prune the stale name so
-    // the verification table tracks only live entries.
-    names_.erase(id);
-  }
-  return engine_->Get(id, size, miss_penalty);
-}
-
-SetResult StringKeyCache::Set(std::string_view key, Bytes size,
-                              MicroSecs penalty) {
-  const KeyId id = HashStringKey(key);
-  if (engine_->Contains(id) && !VerifiedHit(id, key)) {
-    ++collisions_;
-    engine_->Del(id);
-    names_.erase(id);
-  }
-  const SetResult result = engine_->Set(id, size, penalty);
-  if (result.stored) {
-    names_[id] = std::string(key);
-  }
-  return result;
-}
-
-bool StringKeyCache::Del(std::string_view key) {
-  const KeyId id = HashStringKey(key);
-  if (!VerifiedHit(id, key)) {
-    // Either absent or a collision squatter; a DEL of this name must not
-    // remove someone else's entry.
-    return false;
-  }
-  names_.erase(id);
-  return engine_->Del(id);
-}
-
-bool StringKeyCache::Contains(std::string_view key) const {
-  const KeyId id = HashStringKey(key);
-  return engine_->Contains(id) && VerifiedHit(id, key);
-}
-
 }  // namespace pamakv

@@ -46,6 +46,15 @@ bool ReadFrameAt(int fd, std::uint64_t offset, std::uint32_t frame_len,
   return true;
 }
 
+/// Log bytes a tombstone record for `key` takes.
+std::uint64_t TombFrameBytes(std::string_view key) {
+  std::vector<char> payload;
+  FlashTier::EncodeTombRecord(payload, key, 0);
+  std::vector<char> frame;
+  persist::AppendFrame(frame, View(payload));
+  return frame.size();
+}
+
 }  // namespace
 
 FlashTier::FlashTier(const FlashConfig& config) : config_(config) {
@@ -356,51 +365,90 @@ void FlashTier::GcVictim(ShardState& st, std::size_t shard,
   if (victim == nullptr) return;
   const int victim_fd = victim->fd;
   const std::vector<Tomb> tombs = victim->tombs;
-  // Collect the victim's live keys first: rewrites and tombstones mutate
-  // the index and may reallocate the segment vector.
-  std::vector<KeyId> live;
-  for (const auto& [id, slot] : st.index) {
-    if (slot.seg == victim_id) live.push_back(id);
-  }
-  for (const KeyId id : live) {
-    const auto it = st.index.find(id);
-    if (it == st.index.end()) continue;
-    const Slot slot = it->second;
+  // Read the victim's live records up front: rewrites and tombstones
+  // mutate the index and may reallocate the segment vector.
+  struct LiveRecord {
+    KeyId id = 0;
+    Slot slot;
+    double value = 0.0;
     std::string payload;
+    std::string key;  ///< decoded key (empty when unreadable)
+    bool decoded = false;
+    bool keep = false;
+  };
+  std::vector<LiveRecord> live;
+  for (const auto& [id, slot] : st.index) {
+    if (slot.seg != victim_id) continue;
+    LiveRecord& r = live.emplace_back();
+    r.id = id;
+    r.slot = slot;
+  }
+  // The shard's bytes once the victim is gone, counting a tombstone for
+  // every record that is not carried forward (all of them, to start).
+  std::uint64_t after = st.total_bytes - victim->bytes;
+  for (const Tomb& tomb : tombs) {
+    if (st.index.find(tomb.id) == st.index.end()) {
+      after += TombFrameBytes(tomb.key);
+    }
+  }
+  for (LiveRecord& r : live) {
     const bool read_ok =
-        ReadFrameAt(victim_fd, slot.offset, slot.frame_len, &payload);
+        ReadFrameAt(victim_fd, r.slot.offset, r.slot.frame_len, &r.payload);
     if (!read_ok) ++st.stats.read_failures;
     Record rec;
-    const bool decoded = read_ok && DecodeRecord(payload, &rec);
+    r.decoded = read_ok && DecodeRecord(r.payload, &rec);
+    if (r.decoded) {
+      r.key.assign(rec.key.data(), rec.key.size());
+      after += TombFrameBytes(r.key);
+    }
+    r.value = value_of ? value_of(r.slot.cls, r.slot.band) : 0.0;
     const bool expired =
-        slot.expire_at_ns != 0 && slot.expire_at_ns <= now_ns;
-    const double value = value_of ? value_of(slot.cls, slot.band) : 0.0;
-    bool keep = decoded && !expired && value >= config_.admit_min_value;
+        r.slot.expire_at_ns != 0 && r.slot.expire_at_ns <= now_ns;
+    r.keep = r.decoded && !expired && r.value >= config_.admit_min_value;
+  }
+  // Carry the most valuable records forward while the shard stays within
+  // its cap; the rest drop. Otherwise an all-live victim would free
+  // nothing and the shard would grow past its cap.
+  std::sort(live.begin(), live.end(),
+            [](const LiveRecord& a, const LiveRecord& b) {
+              return a.value != b.value ? a.value > b.value
+                                        : a.slot.offset < b.slot.offset;
+            });
+  for (LiveRecord& r : live) {
+    if (!r.keep) continue;
+    const std::uint64_t kept = after - TombFrameBytes(r.key) + r.slot.frame_len;
+    if (kept > shard_cap_bytes_) {
+      r.keep = false;
+    } else {
+      after = kept;
+    }
+  }
+  for (const LiveRecord& r : live) {
+    const auto it = st.index.find(r.id);
+    if (it == st.index.end()) continue;
+    bool keep = r.keep;
     if (keep) {
       // Carry the frame forward verbatim (CRC already stamped).
       std::vector<char> frame;
-      frame.reserve(payload.size() + 8);
-      persist::AppendFrame(frame, payload);
+      frame.reserve(r.payload.size() + 8);
+      persist::AppendFrame(frame, r.payload);
       std::uint64_t new_seg = 0, new_off = 0;
       keep = AppendRaw(st, shard, frame, &new_seg, &new_off);
       if (keep) {
-        auto live_it = st.index.find(id);
-        if (live_it != st.index.end()) {
-          live_it->second.seg = new_seg;
-          live_it->second.offset = new_off;
-        }
+        it->second.seg = new_seg;
+        it->second.offset = new_off;
         ++st.stats.gc_rewrites;
       }
     }
     if (!keep) {
-      st.index.erase(id);
+      st.index.erase(it);
       ++st.stats.gc_drops;
-      if (on_drop) on_drop(id, slot);
+      if (on_drop) on_drop(r.id, r.slot);
       // Tombstone the drop so replay cannot resurrect an older version
       // of the key from a surviving segment. Unreadable records leave
       // no key to tombstone — same accepted window as delete-append
       // failure above.
-      if (decoded) AppendTomb(st, shard, id, rec.key, slot.cas);
+      if (r.decoded) AppendTomb(st, shard, r.id, r.key, r.slot.cas);
     }
   }
   // Tombstones still shadowing dead records in older segments move

@@ -48,6 +48,25 @@ constexpr CounterField kCounterFields[] = {
     {"flash_penalty_saved_us", &ServiceCounters::flash_penalty_saved_us},
 };
 
+/// incr/decr on a stored value, which must be a plain decimal uint64 (all
+/// digits, fully consumed, in range). incr saturates at 2^64-1 — memcached
+/// wraps, but a penalty-aware cache has no use for a counter that silently
+/// jumps to 0 — and decr floors at 0. False for a non-numeric value.
+bool ApplyDelta(std::string_view value, std::uint64_t delta, bool increment,
+                std::uint64_t* next) {
+  std::uint64_t current = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, current);
+  if (value.empty() || ec != std::errc{} || ptr != end) return false;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  if (increment) {
+    *next = current > kMax - delta ? kMax : current + delta;
+  } else {
+    *next = current < delta ? 0 : current - delta;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string_view StoreReplyText(StoreStatus status) noexcept {
@@ -170,8 +189,7 @@ CacheService::Entry* CacheService::VerifiedLive(Shard& shard, KeyId id,
   if (entry == nullptr || !entry->live || entry->key != key) {
     // The engine holds this id for a *different* string (or for a store
     // the table never saw — only possible if callers bypass the service).
-    // Matching StringKeyCache, drop the squatter so both keys see
-    // consistent misses from here on.
+    // Drop the squatter so both keys see consistent misses from here on.
     ++shard.collisions;
     shard.engine->Del(id);
     if (entry != nullptr) entry->live = false;
@@ -227,27 +245,10 @@ void CacheService::ScheduleExpiry(Shard& shard, Entry& entry, KeyId id) {
 
 bool CacheService::Get(std::string_view key, std::vector<char>& out,
                        bool with_cas) {
-  return GetInternal(key, out, with_cas, /*touch=*/false, 0);
-}
-
-bool CacheService::GetAndTouch(std::string_view key, std::int64_t exptime_s,
-                               std::vector<char>& out, bool with_cas) {
-  return GetInternal(key, out, with_cas, /*touch=*/true, exptime_s);
-}
-
-bool CacheService::GetInternal(std::string_view key, std::vector<char>& out,
-                               bool with_cas, bool touch,
-                               std::int64_t exptime_s) {
   const KeyId id = HashStringKey(key);
   Shard& shard = ShardFor(id);
-  bool hit;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    hit = GetLocked(shard, id, key, out, with_cas, touch, exptime_s, NowNs());
-  }
-  // Only the touching variants mutate (deadline refresh -> WAL record).
-  if (touch && sink_ != nullptr) sink_->Commit(shard.index);
-  return hit;
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return GetLocked(shard, id, key, out, with_cas, /*touch=*/false, 0, NowNs());
 }
 
 bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
@@ -296,9 +297,9 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
       ArmFlashRead(shard, id, *slot, flash_pending);
       return false;
     }
-    // Flash-unaware caller (the batched executor — unreachable once the
-    // tier is wired, since flash forces batching off): an ordinary miss,
-    // already charged with the slot's exact size and penalty.
+    // No read may be scheduled (Get, or the re-run after a completion
+    // whose slot was re-demoted mid-read): an ordinary miss, already
+    // charged with the slot's exact size and penalty.
     if (touch) ++shard.counters.touch_misses;
     return false;
   }
@@ -371,9 +372,9 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
     case StoreVerb::kPrepend:
       if (existing == nullptr) {
         if (fslot != nullptr && flash_pending != nullptr) {
-          // The old value is on flash: defer; CompleteFlashStore promotes
-          // and re-runs the concat once the read lands. The return value
-          // is a placeholder the deferring caller never reports.
+          // The old value is on flash: defer; CompleteFlashOp promotes and
+          // re-runs the concat once the read lands. The return value is a
+          // placeholder the deferring caller never reports.
           ArmFlashRead(shard, id, *fslot, flash_pending);
         }
         return StoreStatus::kNotStored;
@@ -497,24 +498,11 @@ ArithmeticResult CacheService::IncrDecrLocked(Shard& shard, KeyId id,
     ++misses;
     return ArithmeticResult{ArithmeticResult::Status::kNotFound, 0};
   }
-  // The stored value must be a plain decimal uint64: all digits, fully
-  // consumed, in range. Anything else gets memcached's CLIENT_ERROR.
-  std::uint64_t current = 0;
-  const char* begin = entry->value.data();
-  const char* end = begin + entry->value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, current);
-  if (entry->value.empty() || ec != std::errc{} || ptr != end) {
-    return ArithmeticResult{ArithmeticResult::Status::kNonNumeric, 0};
-  }
+  // A value that is not a plain decimal uint64 gets memcached's
+  // CLIENT_ERROR.
   std::uint64_t next = 0;
-  if (increment) {
-    // Saturating: memcached wraps, but a penalty-aware cache has no use
-    // for a counter that silently jumps to 0 at 2^64.
-    next = current > std::numeric_limits<std::uint64_t>::max() - delta
-               ? std::numeric_limits<std::uint64_t>::max()
-               : current + delta;
-  } else {
-    next = current < delta ? 0 : current - delta;
+  if (!ApplyDelta(entry->value, delta, increment, &next)) {
+    return ArithmeticResult{ArithmeticResult::Status::kNonNumeric, 0};
   }
   char buf[20];
   const auto conv = std::to_chars(buf, buf + sizeof buf, next);
@@ -642,119 +630,113 @@ bool CacheService::DelLocked(Shard& shard, KeyId id, std::string_view key,
   return deleted;
 }
 
-void CacheService::ExecuteOps(std::size_t index, Batch& batch,
-                              const std::uint32_t* idx, std::size_t n) {
+std::size_t CacheService::ExecuteOps(std::size_t index, Batch& batch,
+                                     const std::uint32_t* idx, std::size_t n,
+                                     FlashPending* park) {
   Shard& shard = *shards_[index];
+  park->armed = false;
+  std::size_t done;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    ExecuteOpsLocked(shard, batch, idx, n);
+    done = ExecuteOpsLocked(shard, batch, idx, n, park);
   }
-  // One durability point covers the whole sub-batch — the replies have
-  // not been sequenced to any client yet.
+  // One durability point covers the whole group — the replies have not
+  // been sequenced to any client yet.
   if (sink_ != nullptr) sink_->Commit(index);
+  return done;
 }
 
-bool CacheService::TryExecuteOps(std::size_t index, Batch& batch,
-                                 const std::uint32_t* idx, std::size_t n) {
-  Shard& shard = *shards_[index];
-  {
-    std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-    if (!lock.owns_lock()) return false;
-    ExecuteOpsLocked(shard, batch, idx, n);
-  }
-  if (sink_ != nullptr) sink_->Commit(index);
-  return true;
-}
-
-void CacheService::ExecuteOpsLocked(Shard& shard, Batch& batch,
-                                    const std::uint32_t* idx, std::size_t n) {
-  // One clock read covers the sub-batch: ops in one handoff share one
-  // "now", exactly as if they had all executed back-to-back (under a
-  // paused test clock the serial path reads the same value per op, which
-  // is what makes batched and serial execution byte-identical).
+std::size_t CacheService::ExecuteOpsLocked(Shard& shard, Batch& batch,
+                                           const std::uint32_t* idx,
+                                           std::size_t n, FlashPending* park) {
+  // One clock read covers the group: its ops share one "now", exactly as
+  // if they had run back-to-back (under a paused test clock that is the
+  // value every op would have read anyway).
   const std::int64_t now = NowNs();
   for (std::size_t i = 0; i < n; ++i) {
     // Once any op fails the connection is doomed; stop executing so the
-    // engine (and the verb metrics) see only the ops that ran — the same
-    // cutoff the serial path gets by closing at the failing command.
-    if (batch.failed.load(std::memory_order_relaxed)) return;
-    ExecuteOpLocked(shard, batch, batch.op(idx[i]), now);
+    // engine (and the verb metrics) see only the ops that ran.
+    if (batch.failed) return n;
+    BatchOp& op = batch.op(idx[i]);
+    try {
+      // Mid-batch injection seam: `oom` starves one op, `sleep` skews this
+      // group's latency (the ordering suite uses it to force adversarial
+      // completion orders).
+      PAMAKV_FAILPOINT_INJECT("svc.batch");
+      RunOpLocked(shard, op, now, park);
+      if (park->armed) return i;
+    } catch (const std::bad_alloc&) {
+      FailOp(batch, op);
+    }
   }
+  return n;
 }
 
-void CacheService::ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
-                                   std::int64_t now) {
-  try {
-    // Mid-batch injection seam: `oom` starves one op on the owner thread,
-    // `sleep` skews this sub-batch's completion latency (the ordering
-    // suite uses it to force adversarial completion orders).
-    PAMAKV_FAILPOINT_INJECT("svc.batch");
-    switch (op.verb) {
-      case Verb::kGet:
-      case Verb::kGets:
-      case Verb::kGat:
-      case Verb::kGats:
-        GetLocked(shard, op.id, op.key, op.out, op.with_cas, op.touch,
-                  op.exptime, now);
-        if (op.append_end) AppendLiteral(op.out, "END\r\n");
-        break;
-      case Verb::kSet:
-      case Verb::kAdd:
-      case Verb::kReplace:
-      case Verb::kAppend:
-      case Verb::kPrepend:
-      case Verb::kCas: {
-        const StoreStatus status =
-            StoreLocked(shard, op.id, ToStoreVerb(op.verb), op.key, op.flags,
-                        op.exptime, op.value, op.cas, now);
-        if (!op.noreply) AppendLiteral(op.out, StoreReplyText(status));
-        break;
-      }
-      case Verb::kIncr:
-      case Verb::kDecr: {
-        const ArithmeticResult result = IncrDecrLocked(
-            shard, op.id, op.key, op.delta, op.verb == Verb::kIncr, now);
-        if (!op.noreply) AppendArithmeticReply(op.out, result);
-        break;
-      }
-      case Verb::kTouch: {
-        const bool touched =
-            TouchLocked(shard, op.id, op.key, op.exptime, now);
-        if (!op.noreply) {
-          AppendLiteral(op.out, touched ? kTouchedReply : kNotFoundReply);
-        }
-        break;
-      }
-      case Verb::kDelete: {
-        const bool deleted = DelLocked(shard, op.id, op.key, now);
-        if (!op.noreply) {
-          AppendLiteral(op.out, deleted ? kDeletedReply : kNotFoundReply);
-        }
-        break;
-      }
-      default:
-        // Barrier verbs (stats/flush_all/version/quit) never reach the
-        // batch path: the connection drains the batch and runs them on
-        // the serial path.
-        break;
+bool CacheService::RunOpLocked(Shard& shard, BatchOp& op, std::int64_t now,
+                               FlashPending* park) {
+  const auto parked = [park] { return park != nullptr && park->armed; };
+  bool found = false;
+  switch (op.verb) {
+    case Verb::kGet:
+    case Verb::kGets:
+    case Verb::kGat:
+    case Verb::kGats:
+      found = GetLocked(shard, op.id, op.key, op.out, op.with_cas, op.touch,
+                        op.exptime, now, park);
+      if (parked()) return false;
+      if (op.append_end) AppendLiteral(op.out, "END\r\n");
+      break;
+    case Verb::kSet:
+    case Verb::kAdd:
+    case Verb::kReplace:
+    case Verb::kAppend:
+    case Verb::kPrepend:
+    case Verb::kCas: {
+      const StoreStatus status =
+          StoreLocked(shard, op.id, ToStoreVerb(op.verb), op.key, op.flags,
+                      op.exptime, op.value, op.cas, now, park);
+      if (parked()) return false;
+      found = status == StoreStatus::kStored;
+      if (!op.noreply) AppendLiteral(op.out, StoreReplyText(status));
+      break;
     }
+    case Verb::kIncr:
+    case Verb::kDecr: {
+      const ArithmeticResult result = IncrDecrLocked(
+          shard, op.id, op.key, op.delta, op.verb == Verb::kIncr, now, park);
+      if (parked()) return false;
+      found = result.status == ArithmeticResult::Status::kOk;
+      if (!op.noreply) AppendArithmeticReply(op.out, result);
+      break;
+    }
+    case Verb::kTouch:
+      found = TouchLocked(shard, op.id, op.key, op.exptime, now);
+      if (!op.noreply) {
+        AppendLiteral(op.out, found ? kTouchedReply : kNotFoundReply);
+      }
+      break;
+    case Verb::kDelete:
+      found = DelLocked(shard, op.id, op.key, now);
+      if (!op.noreply) {
+        AppendLiteral(op.out, found ? kDeletedReply : kNotFoundReply);
+      }
+      break;
+    default:
+      // Barrier verbs (stats/flush_all/version/bgsave/quit) end the batch
+      // and run on the connection after it; they never reach a shard.
+      break;
+  }
+  op.executed = true;
+  return found;
+}
+
+void CacheService::FailOp(Batch& batch, BatchOp& op) {
+  op.out.clear();
+  if (IsStorageVerb(op.verb)) {
+    if (!op.noreply) AppendLiteral(op.out, kStoreOomReply);
     op.executed = true;
-  } catch (const std::bad_alloc&) {
-    op.out.clear();
-    if (IsStorageVerb(op.verb)) {
-      // Same recovery as the serial FinishStorage: the store staged its
-      // allocations before mutating, so failing this one op and keeping
-      // the batch (and the connection) is safe — and byte-identical
-      // (FinishStorage observes the verb after its in-band reply, so this
-      // op counts as executed).
-      if (!op.noreply) AppendLiteral(op.out, kStoreOomReply);
-      op.executed = true;
-    } else {
-      // The serial path drops the connection when a non-storage verb
-      // throws (Server::HandleEvents catches around OnReadable); flag the
-      // batch so the connection closes after sequencing.
-      batch.failed.store(true, std::memory_order_relaxed);
-    }
+  } else {
+    batch.failed = true;
   }
 }
 
@@ -1202,6 +1184,164 @@ CacheService::PromoteOutcome CacheService::PromoteFlashLocked(
   return PromoteOutcome::kPromoted;
 }
 
+void CacheService::SubmitFlashRead(FlashPending& pending,
+                                   flash::FlashTier::Poster poster,
+                                   flash::FlashTier::ReadCallback cb) {
+  flash_->SubmitRead(pending.shard, pending.ticket, std::move(poster),
+                     std::move(cb));
+  pending.ticket.fd = -1;  // ownership moved to the tier
+}
+
+bool CacheService::ReadFlashNow(FlashPending& pending, std::string* payload) {
+  const bool ok = flash_->ReadNow(pending.shard, pending.ticket, payload);
+  pending.ticket.fd = -1;  // ReadNow closed it
+  return ok;
+}
+
+void CacheService::CompleteFlashOp(Batch& batch, BatchOp& op,
+                                   const FlashPending& pending, bool read_ok,
+                                   std::string_view payload) {
+  Shard& shard = *shards_[pending.shard];
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const std::int64_t now = NowNs();
+    try {
+      FinishParkedLocked(shard, op, pending, read_ok, payload, now);
+    } catch (const std::bad_alloc&) {
+      FailOp(batch, op);
+    }
+    DrainDemotions(shard, now);
+  }
+  if (sink_ != nullptr) sink_->Commit(shard.index);
+}
+
+bool CacheService::FinishParkedLocked(Shard& shard, BatchOp& op,
+                                      const FlashPending& pending,
+                                      bool read_ok, std::string_view payload,
+                                      std::int64_t now) {
+  flash::Record rec;
+  const PromoteOutcome outcome = PromoteFlashLocked(
+      shard, pending.id, op.key, pending, read_ok, payload, &rec, now);
+  // kPromoted: the re-run's engine access is the "hit" half of the
+  // miss + set + hit accounting. kUseDram: the op re-runs against whatever
+  // the race left behind — a newer DRAM copy serves, anything else is an
+  // honest miss — and no read may be scheduled again.
+  const bool found = outcome == PromoteOutcome::kDirect
+                         ? ServeFromFlashLocked(shard, op, rec, now)
+                         : RunOpLocked(shard, op, now, /*park=*/nullptr);
+  if (found && outcome != PromoteOutcome::kUseDram) {
+    ++shard.counters.flash_hits;
+    shard.counters.flash_penalty_saved_us +=
+        static_cast<std::uint64_t>(rec.penalty_us);
+  }
+  op.executed = true;
+  return found;
+}
+
+bool CacheService::ServeFromFlashLocked(Shard& shard, BatchOp& op,
+                                        const flash::Record& rec,
+                                        std::int64_t now) {
+  flash::Slot* slot = flash_->FindMutable(shard.index, op.id);
+  bool found = false;
+  switch (op.verb) {
+    case Verb::kGet:
+    case Verb::kGets:
+    case Verb::kGat:
+    case Verb::kGats:
+      if (slot != nullptr) {
+        if (op.touch) {
+          // gat against the tier: the deadline moves in the slot (the
+          // on-disk record keeps its TTL until GC rewrites it).
+          slot->expire_at_ns = DeadlineFor(op.exptime, now);
+          slot->stored_at_ns = now;
+          slot->flush_seq = shard.flush_seq;
+          ++shard.counters.touch_hits;
+          if (sink_ != nullptr) {
+            sink_->OnTouch(shard.index, op.key,
+                           UnixNsOfDeadline(slot->expire_at_ns),
+                           UnixNsOfTime(now));
+          }
+        }
+        AppendValueBlock(op.out, op.key, slot->flags, rec.value, slot->cas,
+                         op.with_cas);
+        ++shard.counters.flash_direct_serves;
+        found = true;
+      }
+      if (op.append_end) AppendLiteral(op.out, "END\r\n");
+      break;
+    case Verb::kIncr:
+    case Verb::kDecr: {
+      const bool increment = op.verb == Verb::kIncr;
+      std::uint64_t& hits =
+          increment ? shard.counters.incr_hits : shard.counters.decr_hits;
+      std::uint64_t& misses =
+          increment ? shard.counters.incr_misses : shard.counters.decr_misses;
+      ArithmeticResult result{ArithmeticResult::Status::kNotFound, 0};
+      std::uint64_t next = 0;
+      if (slot == nullptr) {
+        ++misses;
+      } else if (!ApplyDelta(rec.value, op.delta, increment, &next)) {
+        result.status = ArithmeticResult::Status::kNonNumeric;
+      } else {
+        // Promote-then-mutate with no DRAM seat: mutate the flash copy in
+        // place — a fresh record under a fresh cas — atomically under this
+        // lock. The client never sees NOT_FOUND for a value that exists.
+        char buf[20];
+        const auto conv = std::to_chars(buf, buf + sizeof buf, next);
+        const std::string_view value(
+            buf, static_cast<std::size_t>(conv.ptr - buf));
+        flash::FlashTier::DemoteMeta meta;
+        meta.key = op.key;
+        meta.value = value;
+        meta.flags = slot->flags;
+        meta.cas = ++shard.cas_counter;
+        meta.penalty = slot->penalty;
+        meta.cls = slot->cls;
+        meta.band = slot->band;
+        meta.expire_at_ns = slot->expire_at_ns;
+        meta.stored_at_ns = now;  // mutation rescues from a pending flush
+        meta.expire_unix_ns = UnixNsOfDeadline(slot->expire_at_ns);
+        meta.stored_unix_ns = UnixNsOfTime(now);
+        meta.flush_seq = shard.flush_seq;
+        if (flash_->AppendItem(shard.index, op.id, meta)) {
+          ++hits;
+          ++shard.counters.flash_direct_serves;
+          if (sink_ != nullptr) {
+            persist::WalStore wrec;
+            wrec.key = op.key;
+            wrec.value = std::string(value);
+            wrec.flags = meta.flags;
+            wrec.expire_unix_ns = meta.expire_unix_ns;
+            wrec.stored_unix_ns = meta.stored_unix_ns;
+            wrec.cas = meta.cas;
+            sink_->OnStore(shard.index, wrec);
+          }
+          result = ArithmeticResult{ArithmeticResult::Status::kOk, next};
+          found = true;
+        } else {
+          // The mutated record could not be appended. Keeping the old
+          // record would hand every retry the same stale value, so drop
+          // it: the client sees NOT_FOUND, same as racing an eviction.
+          GhostRoute(shard, op.id, *slot);
+          flash_->EraseWithTombstone(shard.index, op.id, op.key);
+          ++misses;
+        }
+      }
+      if (!op.noreply) AppendArithmeticReply(op.out, result);
+      break;
+    }
+    default:
+      // append/prepend: no DRAM seat to concatenate in. Refuse, as
+      // memcached refuses a concat on a missing item; the flash copy
+      // stands unchanged. (No other verb parks.)
+      if (!op.noreply) {
+        AppendLiteral(op.out, StoreReplyText(StoreStatus::kNotStored));
+      }
+      break;
+  }
+  return found;
+}
+
 CacheService::FlashOutcome CacheService::GetFlashAware(
     std::string_view key, std::vector<char>& out, bool with_cas, bool touch,
     std::int64_t exptime_s, bool* hit, FlashPending* pending) {
@@ -1222,41 +1362,9 @@ CacheService::FlashOutcome CacheService::StoreFlashAware(
     StoreVerb verb, std::string_view key, std::uint32_t flags,
     std::int64_t exptime_s, std::string_view value, std::uint64_t cas_unique,
     StoreStatus* status, FlashPending* pending) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
   pending->armed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    *status = StoreLocked(shard, id, verb, key, flags, exptime_s, value,
-                          cas_unique, NowNs(), pending);
-  }
-  if (pending->armed) return FlashOutcome::kDeferred;
-  if (sink_ != nullptr) sink_->Commit(shard.index);
+  *status = Store(verb, key, flags, exptime_s, value, cas_unique);
   return FlashOutcome::kDone;
-}
-
-CacheService::FlashOutcome CacheService::IncrDecrFlashAware(
-    std::string_view key, std::uint64_t delta, bool increment,
-    ArithmeticResult* result, FlashPending* pending) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  pending->armed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    *result = IncrDecrLocked(shard, id, key, delta, increment, NowNs(),
-                             pending);
-  }
-  if (pending->armed) return FlashOutcome::kDeferred;
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return FlashOutcome::kDone;
-}
-
-void CacheService::SubmitFlashRead(FlashPending& pending,
-                                   flash::FlashTier::Poster poster,
-                                   flash::FlashTier::ReadCallback cb) {
-  flash_->SubmitRead(pending.shard, pending.ticket, std::move(poster),
-                     std::move(cb));
-  pending.ticket.fd = -1;  // ownership moved to the tier
 }
 
 bool CacheService::CompleteFlashGet(const FlashPending& pending, bool read_ok,
@@ -1264,187 +1372,27 @@ bool CacheService::CompleteFlashGet(const FlashPending& pending, bool read_ok,
                                     std::string_view key,
                                     std::vector<char>& out, bool with_cas,
                                     bool touch, std::int64_t exptime_s) {
+  BatchOp op;
+  op.verb = touch ? (with_cas ? Verb::kGats : Verb::kGat)
+                  : (with_cas ? Verb::kGets : Verb::kGet);
+  op.id = pending.id;
+  op.shard = static_cast<std::uint32_t>(pending.shard);
+  op.key.assign(key.data(), key.size());
+  op.with_cas = with_cas;
+  op.touch = touch;
+  op.exptime = exptime_s;
+  op.out.swap(out);
   Shard& shard = *shards_[pending.shard];
-  bool hit = false;
+  bool hit;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const std::int64_t now = NowNs();
-    flash::Record rec;
-    const PromoteOutcome outcome = PromoteFlashLocked(
-        shard, pending.id, key, pending, read_ok, payload, &rec, now);
-    switch (outcome) {
-      case PromoteOutcome::kUseDram:
-      case PromoteOutcome::kPromoted:
-        // kPromoted: the engine Get below is the "hit" half of the
-        // miss+set+hit accounting. kUseDram: the verb reruns normally —
-        // a newer DRAM copy serves, anything else is an honest miss.
-        hit = GetLocked(shard, pending.id, key, out, with_cas, touch,
-                        exptime_s, now);
-        if (outcome == PromoteOutcome::kPromoted && hit) {
-          ++shard.counters.flash_hits;
-          shard.counters.flash_penalty_saved_us +=
-              static_cast<std::uint64_t>(rec.penalty_us);
-        }
-        break;
-      case PromoteOutcome::kDirect: {
-        flash::Slot* slot = flash_->FindMutable(shard.index, pending.id);
-        if (slot != nullptr) {
-          if (touch) {
-            // gat against the tier: the deadline moves in the slot (the
-            // on-disk record keeps its TTL until GC rewrites it).
-            slot->expire_at_ns = DeadlineFor(exptime_s, now);
-            slot->stored_at_ns = now;
-            slot->flush_seq = shard.flush_seq;
-            ++shard.counters.touch_hits;
-            if (sink_ != nullptr) {
-              sink_->OnTouch(shard.index, key,
-                             UnixNsOfDeadline(slot->expire_at_ns),
-                             UnixNsOfTime(now));
-            }
-          }
-          AppendValueBlock(out, key, slot->flags, rec.value, slot->cas,
-                           with_cas);
-          hit = true;
-          ++shard.counters.flash_hits;
-          ++shard.counters.flash_direct_serves;
-          shard.counters.flash_penalty_saved_us +=
-              static_cast<std::uint64_t>(rec.penalty_us);
-        }
-        break;
-      }
-    }
+    hit = FinishParkedLocked(shard, op, pending, read_ok, payload, now);
     DrainDemotions(shard, now);
   }
+  op.out.swap(out);
   if (sink_ != nullptr) sink_->Commit(shard.index);
   return hit;
-}
-
-StoreStatus CacheService::CompleteFlashStore(
-    const FlashPending& pending, bool read_ok, std::string_view payload,
-    StoreVerb verb, std::string_view key, std::uint32_t flags,
-    std::int64_t exptime_s, std::string_view value, std::uint64_t cas_unique) {
-  Shard& shard = *shards_[pending.shard];
-  StoreStatus status;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const std::int64_t now = NowNs();
-    flash::Record rec;
-    const PromoteOutcome outcome = PromoteFlashLocked(
-        shard, pending.id, key, pending, read_ok, payload, &rec, now);
-    if (outcome == PromoteOutcome::kDirect) {
-      // No DRAM seat to concatenate in: refuse, as memcached refuses a
-      // concat on a missing item. The flash copy stands unchanged.
-      status = StoreStatus::kNotStored;
-    } else {
-      // kPromoted: the entry is live now, so the concat proceeds
-      // normally. kUseDram: rerun against whatever the race left behind.
-      status = StoreLocked(shard, pending.id, verb, key, flags, exptime_s,
-                           value, cas_unique, now);
-      if (outcome == PromoteOutcome::kPromoted &&
-          status == StoreStatus::kStored) {
-        ++shard.counters.flash_hits;
-        shard.counters.flash_penalty_saved_us +=
-            static_cast<std::uint64_t>(rec.penalty_us);
-      }
-    }
-    DrainDemotions(shard, now);
-  }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return status;
-}
-
-ArithmeticResult CacheService::CompleteFlashIncrDecr(
-    const FlashPending& pending, bool read_ok, std::string_view payload,
-    std::string_view key, std::uint64_t delta, bool increment) {
-  Shard& shard = *shards_[pending.shard];
-  ArithmeticResult result{ArithmeticResult::Status::kNotFound, 0};
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const std::int64_t now = NowNs();
-    std::uint64_t& hits =
-        increment ? shard.counters.incr_hits : shard.counters.decr_hits;
-    std::uint64_t& misses =
-        increment ? shard.counters.incr_misses : shard.counters.decr_misses;
-    flash::Record rec;
-    const PromoteOutcome outcome = PromoteFlashLocked(
-        shard, pending.id, key, pending, read_ok, payload, &rec, now);
-    if (outcome != PromoteOutcome::kDirect) {
-      result = IncrDecrLocked(shard, pending.id, key, delta, increment, now);
-      if (outcome == PromoteOutcome::kPromoted &&
-          result.status == ArithmeticResult::Status::kOk) {
-        ++shard.counters.flash_hits;
-        shard.counters.flash_penalty_saved_us +=
-            static_cast<std::uint64_t>(rec.penalty_us);
-      }
-    } else if (flash::Slot* slot =
-                   flash_->FindMutable(shard.index, pending.id)) {
-      // Promote-then-mutate with no DRAM seat: mutate the flash copy in
-      // place — a fresh record under a fresh cas — atomically under this
-      // lock. The client never sees NOT_FOUND for a value that exists.
-      std::uint64_t current = 0;
-      const char* begin = rec.value.data();
-      const char* end = begin + rec.value.size();
-      const auto [ptr, ec] = std::from_chars(begin, end, current);
-      if (rec.value.empty() || ec != std::errc{} || ptr != end) {
-        result = ArithmeticResult{ArithmeticResult::Status::kNonNumeric, 0};
-      } else {
-        std::uint64_t next = 0;
-        if (increment) {
-          next = current > std::numeric_limits<std::uint64_t>::max() - delta
-                     ? std::numeric_limits<std::uint64_t>::max()
-                     : current + delta;
-        } else {
-          next = current < delta ? 0 : current - delta;
-        }
-        char buf[20];
-        const auto conv = std::to_chars(buf, buf + sizeof buf, next);
-        const std::size_t len = static_cast<std::size_t>(conv.ptr - buf);
-        flash::FlashTier::DemoteMeta meta;
-        meta.key = key;
-        meta.value = std::string_view(buf, len);
-        meta.flags = slot->flags;
-        meta.cas = ++shard.cas_counter;
-        meta.penalty = slot->penalty;
-        meta.cls = slot->cls;
-        meta.band = slot->band;
-        meta.expire_at_ns = slot->expire_at_ns;
-        meta.stored_at_ns = now;  // mutation rescues from a pending flush
-        meta.expire_unix_ns = UnixNsOfDeadline(slot->expire_at_ns);
-        meta.stored_unix_ns = UnixNsOfTime(now);
-        meta.flush_seq = shard.flush_seq;
-        if (flash_->AppendItem(shard.index, pending.id, meta)) {
-          ++hits;
-          ++shard.counters.flash_hits;
-          ++shard.counters.flash_direct_serves;
-          shard.counters.flash_penalty_saved_us +=
-              static_cast<std::uint64_t>(rec.penalty_us);
-          if (sink_ != nullptr) {
-            persist::WalStore wrec;
-            wrec.key = std::string(key);
-            wrec.value = std::string(buf, len);
-            wrec.flags = meta.flags;
-            wrec.expire_unix_ns = meta.expire_unix_ns;
-            wrec.stored_unix_ns = meta.stored_unix_ns;
-            wrec.cas = meta.cas;
-            sink_->OnStore(shard.index, wrec);
-          }
-          result = ArithmeticResult{ArithmeticResult::Status::kOk, next};
-        } else {
-          // The mutated record could not be appended. Keeping the old
-          // record would hand every retry the same stale value, so drop
-          // it: the client sees NOT_FOUND, same as racing an eviction.
-          GhostRoute(shard, pending.id, *slot);
-          flash_->EraseWithTombstone(shard.index, pending.id, key);
-          ++misses;
-        }
-      }
-    } else {
-      ++misses;
-    }
-    DrainDemotions(shard, now);
-  }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return result;
 }
 
 CacheStats CacheService::TotalStats() const {

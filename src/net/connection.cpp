@@ -4,7 +4,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <new>
 
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/event_loop.hpp"
@@ -21,7 +20,14 @@ constexpr std::size_t kCompactThreshold = 4 * 1024;
 }  // namespace
 
 Connection::Connection(CacheService& service, int fd)
-    : service_(&service), fd_(fd) {}
+    : service_(&service),
+      fd_(fd),
+      own_executor_(service),
+      executor_(&own_executor_) {
+  // Bound once: asynchronous completion reuses this closure, so finishing
+  // a batch allocates nothing.
+  batch_.on_progress = [this] { OnBatchProgress(); };
+}
 
 Connection::~Connection() {
   if (fd_ >= 0) ::close(fd_);
@@ -48,18 +54,13 @@ void Connection::ReleaseConsumed() {
   }
 }
 
-void Connection::FatalClientError(std::string_view message) {
-  AppendLiteral(tx_, "CLIENT_ERROR ");
-  AppendLiteral(tx_, message);
-  AppendLiteral(tx_, "\r\n");
-  closing_ = true;
-}
-
 bool Connection::Ingest(const char* data, std::size_t n) {
   if (closing_) return false;
-  // Oversized-set payloads are swallowed straight from the input so a
-  // hostile "set k 0 0 999999999" cannot balloon the receive buffer.
-  if (discard_remaining_ > 0) {
+  // Oversized-store payloads are swallowed straight from the input so a
+  // hostile "set k 0 0 999999999" cannot balloon the receive buffer —
+  // unless earlier bytes still wait in rx_ (a parked batch), which must
+  // be consumed first.
+  if (discard_remaining_ > 0 && rx_head_ == rx_.size()) {
     const std::size_t eat = static_cast<std::size_t>(
         discard_remaining_ < n ? discard_remaining_ : n);
     discard_remaining_ -= eat;
@@ -68,67 +69,68 @@ bool Connection::Ingest(const char* data, std::size_t n) {
     if (n == 0) return true;
   }
   rx_.insert(rx_.end(), data, data + n);
-  if (flash_in_flight_) {
-    // A flash read is pending: new bytes only accumulate; processing
-    // resumes from OnFlashComplete.
-    return !closing_;
+  // While a batch is parked, new bytes only accumulate; staging resumes
+  // once it completes.
+  if (!batch_in_flight_) {
+    Process();
+    if (!batch_in_flight_) ReleaseConsumed();
   }
-  if (executor_ != nullptr) {
-    // Batched path. While a batch is in flight, new bytes only
-    // accumulate; staging resumes from OnBatchComplete.
-    if (!batch_in_flight_) {
-      ProcessBatched();
-      if (!batch_in_flight_) ReleaseConsumed();
-    }
-    return !closing_;
-  }
-  ProcessBuffer();
-  PumpFlash();
-  if (!flash_in_flight_) ReleaseConsumed();
   return !closing_;
 }
 
 void Connection::set_executor(ShardExecutor* executor, std::size_t depth,
                               EventLoop* home,
                               std::function<void()> on_done) {
-  executor_ = executor;
+  executor_ = executor != nullptr ? executor : &own_executor_;
   batch_depth_ = depth == 0 ? 1 : depth;
   home_loop_ = home;
   on_batch_done_ = std::move(on_done);
-  batch_.home = home;
-  // Bound once: asynchronous completion reuses this closure, so finishing
-  // a batch allocates nothing.
-  batch_.on_complete = [this] { OnBatchComplete(); };
 }
 
-void Connection::ProcessBatched() {
+void Connection::Process() {
   while (!closing_) {
-    while (!closing_ && batch_.size() < batch_depth_) {
-      const StageStatus status = StageNextCommand();
-      if (status == StageStatus::kStaged) continue;
-      if (status == StageStatus::kNeedMore) break;
-      // kBarrier: anything already staged completes first; with nothing
-      // staged the serial path takes over for the rest of the buffered
-      // input — ProcessBuffer handles barrier verbs, parse errors and the
-      // awkward cases (oversized stores, bad data chunks, overlong lines)
-      // with exactly the serial path's bytes and state transitions.
-      if (batch_.size() != 0) break;
-      ProcessBuffer();
+    StageStatus status = StageStatus::kStaged;
+    while (status == StageStatus::kStaged && batch_.size() < batch_depth_) {
+      status = StageNextCommand();
     }
-    if (batch_.size() == 0) return;  // input drained, or serial consumed it
-    if (metrics_ != nullptr) batch_start_ns_ = metrics_->clock->NowNanos();
-    if (!executor_->Execute(batch_, home_loop_)) {
-      batch_in_flight_ = true;  // OnBatchComplete picks this loop back up
-      return;
+    if (batch_.size() != 0) {
+      if (metrics_ != nullptr) batch_start_ns_ = metrics_->clock->NowNanos();
+      if (!executor_->Execute(batch_, home_loop_)) {
+        // Send what is ready while parked groups wait for their reads;
+        // OnBatchProgress picks this loop back up.
+        SequenceReady();
+        batch_in_flight_ = true;
+        return;
+      }
     }
-    SequenceBatch();
+    FinishBatch();
+    if (status == StageStatus::kNeedMore) return;
   }
+}
+
+BatchOp& Connection::StageAnswered(std::string_view reply) {
+  BatchOp& op = batch_.Push();
+  op.answered = true;
+  AppendLiteral(op.out, reply);
+  return op;
+}
+
+void Connection::StageClientError(std::string_view message) {
+  BatchOp& op = StageAnswered("CLIENT_ERROR ");
+  AppendLiteral(op.out, message);
+  AppendLiteral(op.out, "\r\n");
+}
+
+void Connection::StageFatal(std::string_view message) {
+  StageClientError(message);
+  barrier_.pending = true;
+  barrier_.fatal = true;
 }
 
 Connection::StageStatus Connection::StageNextCommand() {
   if (discard_remaining_ > 0) {
     // Oversized payload buffered alongside its command line: drop it in
-    // place (same as the serial discard branch).
+    // place; Ingest eats the rest straight from the input.
     const std::size_t avail = rx_.size() - rx_head_;
     const std::size_t eat = static_cast<std::size_t>(
         discard_remaining_ < avail ? discard_remaining_ : avail);
@@ -138,39 +140,41 @@ Connection::StageStatus Connection::StageNextCommand() {
     return discard_remaining_ > 0 ? StageStatus::kNeedMore
                                   : StageStatus::kStaged;
   }
-  if (awaiting_data_) {
-    // A serial fallback staged a storage verb and is waiting for its
-    // payload; only ProcessBuffer may finish it.
-    const std::size_t need = static_cast<std::size_t>(pending_bytes_) + 2;
-    return rx_.size() - rx_head_ < need ? StageStatus::kNeedMore
-                                        : StageStatus::kBarrier;
-  }
 
-  // Scan for a complete line. No side effects on the error paths — the
-  // serial path owns fatal handling so its bytes stay canonical.
-  if (rx_scan_ >= rx_.size()) {
-    return rx_.size() - rx_head_ > kMaxLineBytes ? StageStatus::kBarrier
-                                                 : StageStatus::kNeedMore;
-  }
+  // Scan for the end of the next command line from where we left off.
   const char* base = rx_.data();
-  const char* nl = static_cast<const char*>(
-      std::memchr(base + rx_scan_, '\n', rx_.size() - rx_scan_));
+  const char* nl =
+      rx_scan_ < rx_.size()
+          ? static_cast<const char*>(
+                std::memchr(base + rx_scan_, '\n', rx_.size() - rx_scan_))
+          : nullptr;
   if (nl == nullptr) {
     rx_scan_ = rx_.size();
-    return rx_.size() - rx_head_ > kMaxLineBytes ? StageStatus::kBarrier
-                                                 : StageStatus::kNeedMore;
+    if (rx_.size() - rx_head_ <= kMaxLineBytes) return StageStatus::kNeedMore;
+    StageFatal("line too long");
+    return StageStatus::kBarrier;
   }
   std::size_t line_end = static_cast<std::size_t>(nl - base);
   const std::size_t next = line_end + 1;
+  // Tolerate bare \n (printf | nc without \r); strip the \r when present.
   if (line_end > rx_head_ && base[line_end - 1] == '\r') --line_end;
   const std::string_view line(base + rx_head_, line_end - rx_head_);
-  if (line.size() > kMaxLineBytes) return StageStatus::kBarrier;
+  if (line.size() > kMaxLineBytes) {
+    StageFatal("line too long");
+    return StageStatus::kBarrier;
+  }
 
   Command cmd;
   const ParseResult parsed = ParseCommandLine(line, cmd);
-  // Error replies must stay in request order too: dispatch what is staged
-  // and let the serial path emit ERROR/CLIENT_ERROR.
-  if (parsed.status != ParseStatus::kOk) return StageStatus::kBarrier;
+  if (parsed.status != ParseStatus::kOk) {
+    if (parsed.status == ParseStatus::kError) {
+      StageAnswered("ERROR\r\n");
+    } else {
+      StageClientError(parsed.error);
+    }
+    rx_head_ = rx_scan_ = next;
+    return StageStatus::kStaged;
+  }
 
   switch (cmd.verb) {
     case Verb::kGet:
@@ -181,7 +185,7 @@ Connection::StageStatus Connection::StageNextCommand() {
       // the END line). It never splits across batches; an empty batch
       // takes it whole even past the depth target.
       if (batch_.size() != 0 && batch_.size() + cmd.num_keys > batch_depth_) {
-        return StageStatus::kBarrier;
+        return StageStatus::kFull;
       }
       for (std::size_t i = 0; i < cmd.num_keys; ++i) {
         BatchOp& op = batch_.Push();
@@ -202,7 +206,16 @@ Connection::StageStatus Connection::StageNextCommand() {
     case Verb::kPrepend:
     case Verb::kCas: {
       if (cmd.value_bytes > kMaxValueBytes) {
-        return StageStatus::kBarrier;  // serial path swallows + replies
+        // Swallow the announced payload (+CRLF) without buffering it,
+        // then keep the connection usable — memcached's behavior.
+        discard_remaining_ = cmd.value_bytes + 2;
+        if (cmd.noreply) {
+          StageAnswered({});
+        } else {
+          StageAnswered("SERVER_ERROR object too large for cache\r\n");
+        }
+        rx_head_ = rx_scan_ = next;
+        return StageStatus::kStaged;
       }
       const std::size_t total =
           next + static_cast<std::size_t>(cmd.value_bytes) + 2;
@@ -214,7 +227,8 @@ Connection::StageStatus Connection::StageNextCommand() {
       const char* payload = base + next;
       if (payload[cmd.value_bytes] != '\r' ||
           payload[cmd.value_bytes + 1] != '\n') {
-        return StageStatus::kBarrier;  // serial path: "bad data chunk"
+        StageFatal("bad data chunk");
+        return StageStatus::kBarrier;
       }
       BatchOp& op = batch_.Push();
       op.verb = cmd.verb;
@@ -228,265 +242,80 @@ Connection::StageStatus Connection::StageNextCommand() {
       return StageStatus::kStaged;
     }
     case Verb::kIncr:
-    case Verb::kDecr: {
+    case Verb::kDecr:
+    case Verb::kTouch:
+    case Verb::kDelete: {
       BatchOp& op = batch_.Push();
       op.verb = cmd.verb;
       op.key.assign(cmd.keys[0].data(), cmd.keys[0].size());
       op.delta = cmd.delta;
-      op.noreply = cmd.noreply;
-      rx_head_ = rx_scan_ = next;
-      return StageStatus::kStaged;
-    }
-    case Verb::kTouch: {
-      BatchOp& op = batch_.Push();
-      op.verb = cmd.verb;
-      op.key.assign(cmd.keys[0].data(), cmd.keys[0].size());
       op.exptime = cmd.exptime;
       op.noreply = cmd.noreply;
       rx_head_ = rx_scan_ = next;
       return StageStatus::kStaged;
     }
-    case Verb::kDelete: {
-      BatchOp& op = batch_.Push();
-      op.verb = cmd.verb;
-      op.key.assign(cmd.keys[0].data(), cmd.keys[0].size());
-      op.noreply = cmd.noreply;
+    case Verb::kStats:
+    case Verb::kFlushAll:
+    case Verb::kVersion:
+    case Verb::kBgsave:
+    case Verb::kQuit:
+      // Cross-shard barriers: they end the batch and run right after it.
+      barrier_.pending = true;
+      barrier_.fatal = false;
+      barrier_.verb = cmd.verb;
+      barrier_.exptime = cmd.exptime;
+      barrier_.noreply = cmd.noreply;
+      barrier_.detail = cmd.stats_detail;
       rx_head_ = rx_scan_ = next;
-      return StageStatus::kStaged;
-    }
-    default:
-      // stats / flush_all / version / quit: cross-shard barriers.
       return StageStatus::kBarrier;
   }
+  return StageStatus::kNeedMore;  // unreachable: every verb is handled
 }
 
-void Connection::SequenceBatch() {
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    const BatchOp& op = batch_.op(i);
-    tx_.insert(tx_.end(), op.out.begin(), op.out.end());
+void Connection::Sequence(const BatchOp& op) {
+  tx_.insert(tx_.end(), op.out.begin(), op.out.end());
+  // Answered ops and ops skipped after a mid-batch failure never touched
+  // the engine; observing them would break the verb-count /
+  // engine-counter reconciliation.
+  if (op.executed && metrics_ != nullptr && batch_start_ns_ >= 0) {
+    ObserveVerb(op.verb, batch_start_ns_);
   }
-  if (metrics_ != nullptr && batch_start_ns_ >= 0) {
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      // Ops skipped after a mid-batch failure never touched the engine;
-      // observing them would break the verb-count/engine-counter
-      // reconciliation the serial path upholds by closing at the failure.
-      if (batch_.op(i).executed) ObserveVerb(batch_.op(i).verb, batch_start_ns_);
-    }
-    batch_start_ns_ = -1;
+}
+
+void Connection::SequenceReady() {
+  for (; sequenced_ < batch_.size(); ++sequenced_) {
+    const BatchOp& op = batch_.op(sequenced_);
+    if (!op.answered && !op.executed) break;  // parked, or behind one
+    Sequence(op);
   }
-  if (batch_.failed.load(std::memory_order_relaxed)) closing_ = true;
+}
+
+void Connection::FinishBatch() {
+  for (; sequenced_ < batch_.size(); ++sequenced_) {
+    Sequence(batch_.op(sequenced_));
+  }
+  sequenced_ = 0;
+  batch_start_ns_ = -1;
+  if (batch_.failed) closing_ = true;
   batch_.Reset();
+  if (barrier_.pending && !closing_) RunBarrier();
+  barrier_.pending = false;
 }
 
-void Connection::OnBatchComplete() {
-  batch_in_flight_ = false;
-  if (close_deferred) {
-    // The serving loop already tore down the socket registration; the
-    // replies can never be flushed, but the ops that executed still must
-    // reach the verb histograms — the serial path observes inline before
-    // any close, so its counts never lose a served op. Then hand control
-    // back so the loop can finalize the close. `done` is a copy — the
-    // callback destroys this connection.
-    SequenceBatch();
-    if (on_batch_done_) {
-      const std::function<void()> done = on_batch_done_;
-      done();
-    }
+void Connection::RunBarrier() {
+  if (barrier_.fatal) {
+    closing_ = true;
     return;
   }
-  SequenceBatch();
-  if (!closing_) ProcessBatched();
-  if (!batch_in_flight_) ReleaseConsumed();
-  if (on_batch_done_) {
-    const std::function<void()> done = on_batch_done_;  // may destroy *this
-    done();
-  }
-}
-
-void Connection::ProcessBuffer() {
-  while (!closing_) {
-    // A deferred flash op owns the connection until its read lands; the
-    // current command's state was copied out before the wait was staged,
-    // so the cursor is already past it.
-    if (flash_in_flight_) return;
-    if (discard_remaining_ > 0) {
-      // Oversized-set payload that was already buffered with its command
-      // line: drop it in place.
-      const std::size_t avail = rx_.size() - rx_head_;
-      const std::size_t eat = static_cast<std::size_t>(
-          discard_remaining_ < avail ? discard_remaining_ : avail);
-      rx_head_ += eat;
-      rx_scan_ = rx_head_;
-      discard_remaining_ -= eat;
-      if (discard_remaining_ > 0) return;  // need more input
-      continue;
-    }
-    if (awaiting_data_) {
-      // Need <bytes> of payload + CRLF.
-      const std::size_t need = static_cast<std::size_t>(pending_bytes_) + 2;
-      if (rx_.size() - rx_head_ < need) {
-        rx_.reserve(rx_head_ + need);  // one growth, then wait for bytes
-        return;
-      }
-      const char* payload = rx_.data() + rx_head_;
-      if (payload[need - 2] != '\r' || payload[need - 1] != '\n') {
-        FatalClientError("bad data chunk");
-        return;
-      }
-      FinishStorage(
-          std::string_view(payload, static_cast<std::size_t>(pending_bytes_)));
-      rx_head_ += need;
-      rx_scan_ = rx_head_;
-      awaiting_data_ = false;
-      continue;
-    }
-
-    // Scan for the end of the next command line from where we left off.
-    if (rx_scan_ >= rx_.size()) {
-      if (rx_.size() - rx_head_ > kMaxLineBytes) {
-        FatalClientError("line too long");
-      }
-      return;
-    }
-    const char* base = rx_.data();
-    const char* nl = static_cast<const char*>(
-        std::memchr(base + rx_scan_, '\n', rx_.size() - rx_scan_));
-    if (nl == nullptr) {
-      rx_scan_ = rx_.size();
-      if (rx_.size() - rx_head_ > kMaxLineBytes) {
-        FatalClientError("line too long");
-      }
-      return;
-    }
-    std::size_t line_end = static_cast<std::size_t>(nl - base);
-    const std::size_t next = line_end + 1;
-    // Tolerate bare \n (printf | nc without \r); strip the \r when present.
-    if (line_end > rx_head_ && base[line_end - 1] == '\r') --line_end;
-    const std::string_view line(base + rx_head_, line_end - rx_head_);
-    if (line.size() > kMaxLineBytes) {
-      FatalClientError("line too long");
-      return;
-    }
-
-    Command cmd;
-    const ParseResult parsed = ParseCommandLine(line, cmd);
-    // The line (and any key views into it) stays valid through ExecuteLine;
-    // rx_ is not mutated until the command is fully handled.
-    switch (parsed.status) {
-      case ParseStatus::kOk:
-        ExecuteLine(cmd);
-        break;
-      case ParseStatus::kError:
-        AppendLiteral(tx_, "ERROR\r\n");
-        break;
-      case ParseStatus::kClientError:
-        AppendLiteral(tx_, "CLIENT_ERROR ");
-        AppendLiteral(tx_, parsed.error);
-        AppendLiteral(tx_, "\r\n");
-        break;
-    }
-    rx_head_ = next;
-    rx_scan_ = next;
-  }
-}
-
-void Connection::ObserveVerb(Verb verb, std::int64_t start_ns) noexcept {
-  util::Histogram* h =
-      metrics_->service_us[static_cast<std::size_t>(verb)];
-  if (h == nullptr) return;
-  const std::int64_t elapsed = metrics_->clock->NowNanos() - start_ns;
-  h->Observe(static_cast<double>(elapsed) / 1000.0);
-}
-
-void Connection::ExecuteLine(const Command& cmd) {
-  // Storage verbs are only staged here — their real work (payload +
-  // store) is timed in FinishStorage, so the verb histograms measure
-  // service, not waiting for payload bytes.
   const std::int64_t start_ns =
-      metrics_ != nullptr && !IsStorageVerb(cmd.verb)
-          ? metrics_->clock->NowNanos()
-          : -1;
-  switch (cmd.verb) {
-    case Verb::kGet:
-    case Verb::kGets:
-    case Verb::kGat:
-    case Verb::kGats:
-      ExecuteRetrieval(cmd);
-      break;
-    case Verb::kSet:
-    case Verb::kAdd:
-    case Verb::kReplace:
-    case Verb::kAppend:
-    case Verb::kPrepend:
-    case Verb::kCas: {
-      if (cmd.value_bytes > kMaxValueBytes) {
-        // Swallow the announced payload (+CRLF) without buffering it,
-        // then keep the connection usable — memcached's behavior.
-        // ProcessBuffer drains any payload bytes already in rx_; Ingest
-        // eats the rest straight from the input.
-        discard_remaining_ = cmd.value_bytes + 2;
-        if (!cmd.noreply) {
-          AppendLiteral(tx_, "SERVER_ERROR object too large for cache\r\n");
-        }
-        break;
-      }
-      awaiting_data_ = true;
-      pending_verb_ = cmd.verb;
-      pending_key_len_ = cmd.keys[0].size();
-      std::memcpy(pending_key_, cmd.keys[0].data(), pending_key_len_);
-      pending_flags_ = cmd.flags;
-      pending_exptime_ = cmd.exptime;
-      pending_bytes_ = cmd.value_bytes;
-      pending_cas_ = cmd.cas_unique;
-      pending_noreply_ = cmd.noreply;
-      break;
-    }
-    case Verb::kIncr:
-    case Verb::kDecr: {
-      if (FlashActive()) {
-        ArithmeticResult result;
-        const CacheService::FlashOutcome outcome =
-            service_->IncrDecrFlashAware(cmd.keys[0], cmd.delta,
-                                         cmd.verb == Verb::kIncr, &result,
-                                         &flash_pending_);
-        if (outcome == CacheService::FlashOutcome::kDeferred) {
-          flash_key_.assign(cmd.keys[0].data(), cmd.keys[0].size());
-          flash_delta_ = cmd.delta;
-          flash_increment_ = cmd.verb == Verb::kIncr;
-          flash_noreply_ = cmd.noreply;
-          StageFlashWait(FlashOp::kArithmetic);
-          break;
-        }
-        if (!cmd.noreply) AppendArithmeticReply(tx_, result);
-        break;
-      }
-      const ArithmeticResult result =
-          service_->IncrDecr(cmd.keys[0], cmd.delta, cmd.verb == Verb::kIncr);
-      if (!cmd.noreply) {
-        AppendArithmeticReply(tx_, result);
-      }
-      break;
-    }
-    case Verb::kTouch: {
-      const bool touched = service_->Touch(cmd.keys[0], cmd.exptime);
-      if (!cmd.noreply) {
-        AppendLiteral(tx_, touched ? kTouchedReply : kNotFoundReply);
-      }
-      break;
-    }
-    case Verb::kDelete: {
-      const bool deleted = service_->Del(cmd.keys[0]);
-      if (!cmd.noreply) {
-        AppendLiteral(tx_, deleted ? kDeletedReply : kNotFoundReply);
-      }
-      break;
-    }
+      metrics_ != nullptr ? metrics_->clock->NowNanos() : -1;
+  switch (barrier_.verb) {
     case Verb::kStats:
-      service_->AppendStats(tx_, cmd.stats_detail);
+      service_->AppendStats(tx_, barrier_.detail);
       break;
     case Verb::kFlushAll:
-      service_->FlushAll(cmd.exptime);
-      if (!cmd.noreply) AppendLiteral(tx_, "OK\r\n");
+      service_->FlushAll(barrier_.exptime);
+      if (!barrier_.noreply) AppendLiteral(tx_, "OK\r\n");
       break;
     case Verb::kVersion:
       AppendLiteral(tx_, "VERSION pamakv-0.2\r\n");
@@ -496,226 +325,53 @@ void Connection::ExecuteLine(const Command& cmd) {
                              ? "OK\r\n"
                              : "SERVER_ERROR persistence disabled\r\n");
       break;
-    case Verb::kQuit:
+    default:  // quit
       closing_ = true;
       break;
   }
-  if (flash_in_flight_) {
-    // The verb deferred on a flash read: observe it once it completes, so
-    // the histogram covers the whole service time, not just scheduling.
-    flash_wire_verb_ = cmd.verb;
-    flash_start_ns_ = start_ns;
-  } else if (start_ns >= 0) {
-    ObserveVerb(cmd.verb, start_ns);
-  }
+  if (start_ns >= 0) ObserveVerb(barrier_.verb, start_ns);
 }
 
-void Connection::ExecuteRetrieval(const Command& cmd) {
-  const bool with_cas = cmd.verb == Verb::kGets || cmd.verb == Verb::kGats;
-  const bool touch = cmd.verb == Verb::kGat || cmd.verb == Verb::kGats;
-  if (FlashActive()) {
-    for (std::size_t i = 0; i < cmd.num_keys; ++i) {
-      bool hit = false;
-      const CacheService::FlashOutcome outcome = service_->GetFlashAware(
-          cmd.keys[i], tx_, with_cas, touch, cmd.exptime, &hit,
-          &flash_pending_);
-      if (outcome == CacheService::FlashOutcome::kDeferred) {
-        // Copy this key and the remainder out of rx_ — the buffer may
-        // grow or compact while the read is in flight. END follows once
-        // the continuation drains the list.
-        flash_with_cas_ = with_cas;
-        flash_touch_ = touch;
-        flash_exptime_ = cmd.exptime;
-        flash_key_.assign(cmd.keys[i].data(), cmd.keys[i].size());
-        flash_rest_keys_.clear();
-        flash_rest_pos_ = 0;
-        for (std::size_t j = i + 1; j < cmd.num_keys; ++j) {
-          flash_rest_keys_.emplace_back(cmd.keys[j]);
-        }
-        StageFlashWait(FlashOp::kRetrieval);
-        return;
-      }
-    }
-    AppendLiteral(tx_, "END\r\n");
+void Connection::OnBatchProgress() {
+  if (batch_.waiting != 0) {
+    // Groups are still parked: send the replies that became ready. A
+    // closed connection waits silently for the last read.
+    if (close_deferred) return;
+    SequenceReady();
+    if (on_batch_done_) on_batch_done_();
     return;
   }
-  for (std::size_t i = 0; i < cmd.num_keys; ++i) {
-    if (touch) {
-      service_->GetAndTouch(cmd.keys[i], cmd.exptime, tx_, with_cas);
-    } else {
-      service_->Get(cmd.keys[i], tx_, with_cas);
-    }
-  }
-  AppendLiteral(tx_, "END\r\n");
-}
-
-void Connection::FinishStorage(std::string_view data) {
-  const std::int64_t start_ns =
-      metrics_ != nullptr ? metrics_->clock->NowNanos() : -1;
-  const std::string_view key(pending_key_, pending_key_len_);
-  StoreStatus status = StoreStatus::kNotStored;
-  try {
-    if (FlashActive()) {
-      const CacheService::FlashOutcome outcome = service_->StoreFlashAware(
-          ToStoreVerb(pending_verb_), key, pending_flags_, pending_exptime_,
-          data, pending_cas_, &status, &flash_pending_);
-      if (outcome == CacheService::FlashOutcome::kDeferred) {
-        // append/prepend against a flash resident: the payload must
-        // outlive rx_, and the reply waits for the read.
-        flash_key_.assign(key.data(), key.size());
-        flash_value_.assign(data.data(), data.size());
-        flash_flags_ = pending_flags_;
-        flash_exptime_ = pending_exptime_;
-        flash_cas_ = pending_cas_;
-        flash_noreply_ = pending_noreply_;
-        flash_wire_verb_ = pending_verb_;
-        flash_start_ns_ = start_ns;
-        StageFlashWait(FlashOp::kStorage);
-        return;
-      }
-    } else {
-      status = service_->Store(ToStoreVerb(pending_verb_), key, pending_flags_,
-                               pending_exptime_, data, pending_cas_);
-    }
-  } catch (const std::bad_alloc&) {
-    // The service staged its allocations before mutating, so the cache is
-    // exactly as it was. Fail this request, keep the connection — one
-    // starved store must not take down the event loop (memcached answers
-    // the same way when an item allocation fails).
-    if (!pending_noreply_) {
-      AppendLiteral(tx_, kStoreOomReply);
-    }
-    if (start_ns >= 0) ObserveVerb(pending_verb_, start_ns);
-    return;
-  }
-  if (!pending_noreply_) {
-    AppendLiteral(tx_, StoreReplyText(status));
-  }
-  if (start_ns >= 0) ObserveVerb(pending_verb_, start_ns);
-}
-
-void Connection::set_flash(EventLoop* loop, std::function<void()> on_done) {
-  flash_loop_ = loop;
-  on_flash_done_ = std::move(on_done);
-}
-
-bool Connection::FlashActive() const noexcept {
-  // Flash deferral only works on the serial path: the batched executor
-  // answers flash residents as plain misses (a consistent, if colder,
-  // view), so the server keeps connections serial when a tier is wired.
-  return executor_ == nullptr && service_->flash_enabled();
-}
-
-void Connection::StageFlashWait(FlashOp op) {
-  flash_op_ = op;
-  flash_in_flight_ = true;
-  // The submit is delayed until the rx cursor has moved past the current
-  // command (PumpFlash): a tier without an IO thread completes reads
-  // synchronously on the submitting thread, and re-entering the buffer
-  // machinery mid-command would re-execute the line.
-  flash_submit_needed_ = true;
-}
-
-void Connection::PumpFlash() {
-  if (in_flash_pump_) return;  // the outer pump's loop picks it up
-  in_flash_pump_ = true;
-  while (flash_submit_needed_) {
-    flash_submit_needed_ = false;
-    flash::FlashTier::Poster poster;
-    if (flash_loop_ != nullptr) {
-      EventLoop* loop = flash_loop_;
-      poster = [loop](std::function<void()> fn) { loop->Post(std::move(fn)); };
-    }
-    service_->SubmitFlashRead(flash_pending_, std::move(poster),
-                              [this](bool ok, std::string payload) {
-                                OnFlashComplete(ok, std::move(payload));
-                              });
-    // Asynchronous completion leaves flash_submit_needed_ false and the
-    // loop exits; a synchronous completion already ran OnFlashComplete
-    // inline and may have staged the next read.
-  }
-  in_flash_pump_ = false;
-}
-
-void Connection::OnFlashComplete(bool ok, std::string payload) {
-  flash_in_flight_ = false;
+  batch_in_flight_ = false;
   if (close_deferred) {
-    // The serving loop already tore down the socket; nothing can be
-    // flushed. The miss the schedule charged stands and the flash slot is
-    // untouched — skipping the promote leaves both tiers consistent. Hand
-    // control back so the loop can finalize the close. `done` is a copy —
-    // the callback destroys this connection.
-    if (on_flash_done_) {
-      const std::function<void()> done = on_flash_done_;
+    // The serving loop already tore down the socket registration; the
+    // replies can never be flushed, but the ops that executed still must
+    // reach the verb histograms. The barrier that ended the batch never
+    // runs — its client is gone. Then hand control back so the loop can
+    // finalize the close. `done` is a copy — the callback destroys this
+    // connection.
+    barrier_.pending = false;
+    FinishBatch();
+    if (on_batch_done_) {
+      const std::function<void()> done = on_batch_done_;
       done();
     }
     return;
   }
-  try {
-    DispatchFlashCompletion(ok, payload);  // may stage another wait
-  } catch (const std::bad_alloc&) {
-    // Promotion allocates (engine seat + DRAM entry); a starved
-    // completion cannot produce a coherent reply mid-stream, so drop the
-    // connection. The cache itself staged before mutating and is intact.
-    closing_ = true;
-  }
-  if (!flash_in_flight_ && flash_start_ns_ >= 0 && metrics_ != nullptr) {
-    ObserveVerb(flash_wire_verb_, flash_start_ns_);
-    flash_start_ns_ = -1;
-  }
-  if (!flash_in_flight_ && !closing_) ProcessBuffer();  // may defer again
-  PumpFlash();
-  if (!flash_in_flight_) ReleaseConsumed();
-  if (on_flash_done_) {
-    const std::function<void()> done = on_flash_done_;  // may destroy *this
+  FinishBatch();
+  if (!closing_) Process();
+  if (!batch_in_flight_) ReleaseConsumed();
+  if (on_batch_done_) {
+    const std::function<void()> done = on_batch_done_;  // may destroy *this
     done();
   }
 }
 
-void Connection::DispatchFlashCompletion(bool ok, std::string_view payload) {
-  const FlashOp op = flash_op_;
-  flash_op_ = FlashOp::kNone;
-  switch (op) {
-    case FlashOp::kRetrieval:
-      service_->CompleteFlashGet(flash_pending_, ok, payload, flash_key_, tx_,
-                                 flash_with_cas_, flash_touch_,
-                                 flash_exptime_);
-      ContinueFlashRetrieval();
-      break;
-    case FlashOp::kStorage: {
-      const StoreStatus status = service_->CompleteFlashStore(
-          flash_pending_, ok, payload, ToStoreVerb(flash_wire_verb_),
-          flash_key_, flash_flags_, flash_exptime_, flash_value_, flash_cas_);
-      if (!flash_noreply_) AppendLiteral(tx_, StoreReplyText(status));
-      break;
-    }
-    case FlashOp::kArithmetic: {
-      const ArithmeticResult result = service_->CompleteFlashIncrDecr(
-          flash_pending_, ok, payload, flash_key_, flash_delta_,
-          flash_increment_);
-      if (!flash_noreply_) AppendArithmeticReply(tx_, result);
-      break;
-    }
-    case FlashOp::kNone:
-      break;
-  }
-}
-
-void Connection::ContinueFlashRetrieval() {
-  while (flash_rest_pos_ < flash_rest_keys_.size()) {
-    const std::string& key = flash_rest_keys_[flash_rest_pos_];
-    ++flash_rest_pos_;
-    bool hit = false;
-    const CacheService::FlashOutcome outcome = service_->GetFlashAware(
-        key, tx_, flash_with_cas_, flash_touch_, flash_exptime_, &hit,
-        &flash_pending_);
-    if (outcome == CacheService::FlashOutcome::kDeferred) {
-      flash_key_ = key;
-      StageFlashWait(FlashOp::kRetrieval);
-      return;
-    }
-  }
-  AppendLiteral(tx_, "END\r\n");
+void Connection::ObserveVerb(Verb verb, std::int64_t start_ns) noexcept {
+  util::Histogram* h =
+      metrics_->service_us[static_cast<std::size_t>(verb)];
+  if (h == nullptr) return;
+  const std::int64_t elapsed = metrics_->clock->NowNanos() - start_ns;
+  h->Observe(static_cast<double>(elapsed) / 1000.0);
 }
 
 IoStatus Connection::OnReadable() {

@@ -115,19 +115,7 @@ void Server::Start() {
     // The acceptor lives on loop 0.
     loops_[0]->loop.Add(listen_fd_, EPOLLIN,
                         [this](std::uint32_t) { Accept(); });
-    if (config_.batch_depth > 0 && !service_->flash_enabled()) {
-      // Shard-affine mode: bind every shard to an owner loop before the
-      // threads spawn, so ownership is immutable while they run. A flash
-      // tier forces the serial path instead — the batched executor would
-      // answer flash residents as plain misses, defeating the tier.
-      ShardExecutorConfig exec_config;
-      exec_config.inline_reads = config_.striped_reads;
-      executor_ = std::make_unique<ShardExecutor>(*service_, exec_config);
-      std::vector<EventLoop*> owner_loops;
-      owner_loops.reserve(loops_.size());
-      for (auto& loop : loops_) owner_loops.push_back(&loop->loop);
-      executor_->Bind(owner_loops);
-    }
+    executor_ = std::make_unique<ShardExecutor>(*service_);
   } catch (...) {
     // A loop failed to build (epoll/eventfd exhaustion): release what
     // Start already took so a later retry begins from a clean slate.
@@ -330,17 +318,8 @@ void Server::Register(Loop& loop, int fd) {
     conn->set_pause_threshold(config_.tx_pause_bytes);
     if (conn_metrics_.clock != nullptr) conn->set_metrics(&conn_metrics_);
     Connection* raw = conn.get();
-    if (executor_ != nullptr) {
-      raw->set_executor(executor_.get(), config_.batch_depth, &loop.loop,
-                        [this, &loop, raw] { OnBatchDone(loop, *raw); });
-    }
-    if (service_->flash_enabled()) {
-      // Flash completions post back to this loop and finish through the
-      // same tail as batches: flush fresh output, or finalize a deferred
-      // close.
-      raw->set_flash(&loop.loop,
-                     [this, &loop, raw] { OnBatchDone(loop, *raw); });
-    }
+    raw->set_executor(executor_.get(), config_.batch_depth, &loop.loop,
+                      [this, &loop, raw] { OnBatchDone(loop, *raw); });
     conn->Touch(clock_->NowNanos());
     loop.conns[fd] = std::move(conn);
     loop.loop.Add(fd, EPOLLIN, [this, &loop, raw](std::uint32_t events) {
@@ -526,12 +505,11 @@ void Server::CloseConnection(Loop& loop, int fd) {
     conn.lifecycle_timer = kInvalidTimer;
   }
   loop.loop.Del(fd);
-  if (conn.batch_in_flight() || conn.flash_in_flight()) {
-    // Sub-batches on other loops (or the flash IO thread's completion
-    // callback) still hold pointers into this connection; destroying it
-    // now would be a use-after-free. The socket is deregistered above,
-    // the object lingers untouched until OnBatchComplete/OnFlashComplete
-    // routes back here through OnBatchDone.
+  if (conn.batch_in_flight()) {
+    // A flash read's completion still holds a pointer into this
+    // connection's batch; destroying it now would be a use-after-free.
+    // The socket is deregistered above, the object lingers untouched
+    // until the batch completes and routes back here through OnBatchDone.
     conn.close_deferred = true;
     return;
   }
@@ -545,7 +523,7 @@ void Server::OnBatchDone(Loop& loop, Connection& conn) {
   if (conn.close_deferred) {
     // The close already tore down the timer and epoll registration; all
     // that is left is destroying the object, which is safe now that the
-    // last sub-batch finished.
+    // last parked group finished.
     conn.close_deferred = false;
     const auto it = loop.conns.find(fd);
     if (it == loop.conns.end()) return;

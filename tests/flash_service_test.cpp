@@ -3,8 +3,10 @@
 // eviction, the deferred read/promote round trip (cas/flags/value
 // preserved exactly), the verb matrix on flash-resident keys, in-flight
 // read races (delete / overwrite / flush_all / incr-vs-delete), TTL and
-// flush lapses, and tier recovery into a fresh service. Runs under the
-// `flash` ctest label.
+// flush lapses, and tier recovery into a fresh service. Verbs that park
+// a batch on the read (append/prepend, incr/decr) go through a
+// Connection, the way the server runs them. Runs under the `flash` ctest
+// label.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,8 @@
 #include "pamakv/cache/string_keys.hpp"
 #include "pamakv/flash/flash_tier.hpp"
 #include "pamakv/net/cache_service.hpp"
+#include "pamakv/net/connection.hpp"
+#include "pamakv/net/event_loop.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/failpoint.hpp"
@@ -163,26 +167,30 @@ bool FlashAwareGet(Node& node, const std::string& key, std::string* block,
   return hit;
 }
 
-ArithmeticResult FlashAwareIncrDecr(
-    Node& node, const std::string& key, std::uint64_t delta, bool increment,
-    const std::function<void()>& between = nullptr) {
-  CacheService::FlashPending pending;
-  ArithmeticResult result;
-  const auto outcome = node.service->IncrDecrFlashAware(key, delta, increment,
-                                                        &result, &pending);
-  if (outcome == CacheService::FlashOutcome::kDeferred) {
-    bool ok = false;
-    std::string payload;
-    node.service->SubmitFlashRead(pending, nullptr,
-                                  [&](bool read_ok, std::string p) {
-                                    ok = read_ok;
-                                    payload = std::move(p);
-                                  });
-    if (between) between();
-    result = node.service->CompleteFlashIncrDecr(pending, ok, payload, key,
-                                                 delta, increment);
-  }
-  return result;
+/// Sends `request` through a fresh Connection. The tier has no IO thread
+/// and the connection no home loop, so a parked op's read runs inline and
+/// the reply is complete on return.
+std::string Exchange(Node& node, const std::string& request) {
+  Connection conn(*node.service);
+  conn.Ingest(request.data(), request.size());
+  return std::string(conn.pending_output());
+}
+
+/// Exchange with a window between the read landing and its completion:
+/// the connection's home loop is not running yet, so the landed read
+/// waits in its queue while `between` runs.
+std::string ExchangeWithWindow(Node& node, const std::string& request,
+                               const std::function<void()>& between) {
+  EventLoop home;
+  Connection conn(*node.service);
+  conn.set_executor(nullptr, kDefaultBatchDepth, &home, [&] {
+    if (!conn.batch_in_flight()) home.Stop();
+  });
+  conn.Ingest(request.data(), request.size());
+  EXPECT_TRUE(conn.batch_in_flight()) << "the op did not park on a read";
+  between();
+  if (conn.batch_in_flight()) home.Run();
+  return std::string(conn.pending_output());
 }
 
 class FlashServiceTest : public ::testing::Test {
@@ -320,22 +328,11 @@ TEST_F(FlashServiceTest, StoreVerbMatrixOnFlashResidentKey) {
                                            0, &status, &pending),
             CacheService::FlashOutcome::kDone);
   EXPECT_EQ(status, StoreStatus::kNotStored);
-  // append: needs the stored bytes, so it defers and concatenates after
-  // the promote.
-  EXPECT_EQ(node->service->StoreFlashAware(StoreVerb::kAppend, key, 1, 0,
-                                           "-world", 0, &status, &pending),
-            CacheService::FlashOutcome::kDeferred);
-  bool ok = false;
-  std::string payload;
-  node->service->SubmitFlashRead(pending, nullptr,
-                                 [&](bool read_ok, std::string p) {
-                                   ok = read_ok;
-                                   payload = std::move(p);
-                                 });
-  status = node->service->CompleteFlashStore(pending, ok, payload,
-                                             StoreVerb::kAppend, key, 1, 0,
-                                             "-world", 0);
-  EXPECT_EQ(status, StoreStatus::kStored);
+  // append: needs the stored bytes, so it parks on the read and
+  // concatenates after the promote.
+  EXPECT_EQ(Exchange(*node, "append verb-key 1 0 6\r\n-world\r\n"),
+            "STORED\r\n");
+  EXPECT_EQ(node->service->TotalCounters().flash_promotes, 1u);
   std::string block;
   ASSERT_TRUE(FlashAwareGet(*node, key, &block));
   EXPECT_NE(block.find("hello-world"), std::string::npos);
@@ -361,9 +358,7 @@ TEST_F(FlashServiceTest, IncrDecrPromotesThenMutates) {
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "41"));
 
-  const ArithmeticResult result = FlashAwareIncrDecr(*node, key, 1, true);
-  EXPECT_EQ(result.status, ArithmeticResult::Status::kOk);
-  EXPECT_EQ(result.value, 42u);
+  EXPECT_EQ(Exchange(*node, "incr counter 1\r\n"), "42\r\n");
   std::string block;
   ASSERT_TRUE(FlashAwareGet(*node, key, &block));
   EXPECT_NE(block.find("\r\n42\r\n"), std::string::npos);
@@ -481,9 +476,9 @@ TEST_F(FlashServiceTest, IncrVsDeleteRaceAnswersNotFound) {
   ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0, "100"),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "100"));
-  const ArithmeticResult result = FlashAwareIncrDecr(
-      *node, key, 5, true, [&] { EXPECT_TRUE(node->service->Del(key)); });
-  EXPECT_EQ(result.status, ArithmeticResult::Status::kNotFound);
+  EXPECT_EQ(ExchangeWithWindow(*node, "incr race-incr 5\r\n",
+                               [&] { EXPECT_TRUE(node->service->Del(key)); }),
+            "NOT_FOUND\r\n");
   std::string block;
   EXPECT_FALSE(FlashAwareGet(*node, key, &block));
 }
@@ -501,27 +496,33 @@ TEST_F(FlashServiceTest, ThreadedIncrVsDeleteRaceWithSleepFailpoint) {
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "7"));
 
-  CacheService::FlashPending pending;
-  ArithmeticResult result;
-  ASSERT_EQ(node->service->IncrDecrFlashAware(key, 1, true, &result, &pending),
-            CacheService::FlashOutcome::kDeferred);
   ASSERT_TRUE(util::FailPoints::Arm("flash.read", "sleep:100"));
-  std::promise<std::pair<bool, std::string>> read;
-  auto read_done = read.get_future();
-  node->service->SubmitFlashRead(pending, nullptr,
-                                 [&](bool ok, std::string payload) {
-                                   read.set_value({ok, std::move(payload)});
-                                 });
+  // The connection runs on its own loop thread; the incr parks there on
+  // the IO thread's read.
+  EventLoop home;
+  std::thread loop_thread([&] { home.Run(); });
+  Connection conn(*node->service);
+  std::promise<std::string> reply;
+  auto reply_done = reply.get_future();
+  conn.set_executor(nullptr, kDefaultBatchDepth, &home, [&] {
+    if (!conn.batch_in_flight()) {
+      reply.set_value(std::string(conn.pending_output()));
+    }
+  });
+  home.Post([&] {
+    const std::string request = "incr race-threaded 1\r\n";
+    conn.Ingest(request.data(), request.size());
+    EXPECT_TRUE(conn.batch_in_flight());
+  });
   // Delete while the read sleeps on the IO thread.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(node->service->Del(key));
-  ASSERT_EQ(read_done.wait_for(std::chrono::seconds(10)),
+  ASSERT_EQ(reply_done.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
-  const auto [ok, payload] = read_done.get();
   util::FailPoints::DisableAll();
-  result = node->service->CompleteFlashIncrDecr(pending, ok, payload, key, 1,
-                                                true);
-  EXPECT_EQ(result.status, ArithmeticResult::Status::kNotFound);
+  EXPECT_EQ(reply_done.get(), "NOT_FOUND\r\n");
+  home.Stop();
+  loop_thread.join();
   node->tier->StopIo();
 }
 #endif  // PAMAKV_FAILPOINTS

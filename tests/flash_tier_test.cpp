@@ -308,12 +308,15 @@ TEST(FlashTierTest, RecoverAdmitCallbackFilters) {
 
 // ---- GC ----
 
-TEST(FlashTierTest, GcPicksLowValueSegmentsAndGhostsDrops) {
+// Two admission floors: 1.0 sits between the bands, so the low band is
+// below it; 0 (the server default) admits both, so an all-live victim frees
+// space only by dropping the records that no longer fit under the cap.
+void GcPicksLowValueSegments(double admit_min_value) {
   TempDir dir;
   FlashConfig cfg = SyncConfig(dir.path());
   cfg.segment_bytes = 512;
   cfg.cap_bytes = 1536;
-  cfg.admit_min_value = 1.0;
+  cfg.admit_min_value = admit_min_value;
   FlashTier tier(cfg);
 
   // Low-value band 0 first (fills the oldest segments), then high-value
@@ -360,11 +363,20 @@ TEST(FlashTierTest, GcPicksLowValueSegmentsAndGhostsDrops) {
   EXPECT_EQ(high_alive, high.size());
 }
 
+TEST(FlashTierTest, GcPicksLowValueSegmentsAndGhostsDrops) {
+  for (const double admit_min_value : {1.0, 0.0}) {
+    SCOPED_TRACE("admit_min_value " + std::to_string(admit_min_value));
+    GcPicksLowValueSegments(admit_min_value);
+  }
+}
+
 TEST(FlashTierTest, GcDropsExpiredRecords) {
   TempDir dir;
   FlashConfig cfg = SyncConfig(dir.path());
   cfg.segment_bytes = 512;
-  cfg.cap_bytes = 1;  // always over cap: one GC pass collects everything
+  // Over cap with both records, with room for the survivor: one GC pass
+  // collects the shared segment.
+  cfg.cap_bytes = 256;
   FlashTier tier(cfg);
 
   const std::string exp_key = Key(1);

@@ -1,27 +1,32 @@
 // Shard-affinity ordering/equivalence suite (DESIGN.md §12).
 //
-// The shard-affine data path re-orders *execution* (per-shard sub-batches
-// run concurrently on their owner loops) but must never re-order
-// *observation*: the response stream of a pipelined connection has to be
-// byte-identical to the serial per-command path, and every shard engine
-// has to end in exactly the state serial execution would have left. Three
-// layers of proof:
+// Every command runs as an op of a per-connection batch: ops are grouped
+// by shard and each group runs under one lock, one clock read and one WAL
+// commit, and a group whose op needs a flash record parks until the read
+// lands. Execution order is therefore not request order, but observation
+// order must be: the response stream has to equal the one a serial
+// per-command server produced, byte for byte. That serial server is gone;
+// its output for every input here was recorded as a golden transcript
+// (tests/golden/, see golden.hpp). Layers of proof:
 //
 //  * a handcrafted pipeline covering every verb family, the barrier verbs,
-//    parse errors and noreply — byte-compared against a serial reference;
-//  * a 400-deep cross-shard pipeline on a real multi-loop executor, with
-//    per-op sleep injection (chaos builds) skewing sub-batch latencies so
-//    completion order is adversarial while response order must not be;
-//  * a seeded random property test driving the same op stream through the
-//    serial path, the inline batched path and a multi-loop executor, then
-//    comparing wire bytes, per-shard EngineSnapshots and service counters.
-//    The seed is printed and replayable via PAMAKV_AFFINITY_SEED, like the
-//    chaos storm.
+//    parse errors, noreply, an oversized store and a fatal framing error —
+//    at batch depth 1 and 64 against the transcript;
+//  * a 400-deep cross-shard pipeline, inline at depth 1 and 64 and on a
+//    flash-backed service whose DRAM holds a fraction of the keys, so most
+//    reads park on IO-thread reads (chaos builds skew group and read
+//    latencies with sleep failpoints) while the bytes must not move;
+//  * a seeded random property test: each stream at depth 1 and 64 against
+//    its transcript, plus per-shard EngineSnapshots and service counters
+//    compared between the two depths. Seeds are printed and replayable via
+//    PAMAKV_AFFINITY_SEED (a seed without a transcript compares the two
+//    depths only);
+//  * a live server with two loop threads and a flash tier serving get,
+//    gat, append and incr on demoted keys through batches.
 //
-// All services run on paused FakeClocks (advanced only while quiescent),
-// so the one-clock-read-per-sub-batch optimization is observationally
-// identical to serial per-op reads — which is exactly the invariant that
-// makes it legal.
+// The in-process services run on paused FakeClocks (advanced only while
+// quiescent), so one clock read per group is observationally identical to
+// one per op.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,20 +42,28 @@
 #include <thread>
 #include <vector>
 
+#include "engine_snapshot.hpp"
+#include "golden.hpp"
+#include "pamakv/flash/flash_tier.hpp"
 #include "pamakv/net/cache_service.hpp"
+#include "pamakv/net/client.hpp"
 #include "pamakv/net/connection.hpp"
 #include "pamakv/net/event_loop.hpp"
+#include "pamakv/net/server.hpp"
 #include "pamakv/net/shard_executor.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/failpoint.hpp"
 #include "pamakv/util/rng.hpp"
-#include "engine_snapshot.hpp"
 
 namespace pamakv::net {
 namespace {
 
 using namespace std::chrono_literals;
+using test::Golden;
+using test::WithoutFailpointStats;
+
+constexpr std::size_t kDepths[] = {1, 64};
 
 std::unique_ptr<CacheService> MakeService(util::Clock* clock,
                                           std::size_t shards) {
@@ -63,44 +77,50 @@ std::unique_ptr<CacheService> MakeService(util::Clock* clock,
   });
 }
 
-/// N event loops, each running on its own thread (their timers use the
-/// real SteadyClock — the service under test keeps its FakeClock).
-class LoopPool {
+class TempDir {
  public:
-  explicit LoopPool(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      loops_.push_back(std::make_unique<EventLoop>());
-    }
-    for (auto& loop : loops_) {
-      EventLoop* l = loop.get();
-      threads_.emplace_back([l] { l->Run(); });
-    }
+  TempDir() {
+    char tmpl[] = "/tmp/pamakv-affinity-XXXXXX";
+    const char* made = ::mkdtemp(tmpl);
+    if (made == nullptr) throw std::runtime_error("mkdtemp failed");
+    path_ = made;
   }
-  ~LoopPool() {
-    for (auto& loop : loops_) loop->Stop();
-    for (auto& t : threads_) t.join();
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
   }
-  [[nodiscard]] std::vector<EventLoop*> ptrs() const {
-    std::vector<EventLoop*> out;
-    for (const auto& loop : loops_) out.push_back(loop.get());
-    return out;
-  }
-  [[nodiscard]] EventLoop& at(std::size_t i) { return *loops_[i]; }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::vector<std::thread> threads_;
+  std::string path_;
 };
 
-/// Drives a batched Connection: Ingest runs on the home loop (or inline
-/// for an unbound executor) and Feed blocks until every batch the input
-/// staged has completed and been sequenced.
-class BatchedHarness {
+/// One event loop running on its own thread (its timers use the real
+/// SteadyClock — the service under test keeps its FakeClock).
+class LoopThread {
  public:
-  BatchedHarness(CacheService& service, ShardExecutor* executor,
-                 EventLoop* home, std::size_t depth)
+  LoopThread() : thread_([this] { loop_.Run(); }) {}
+  ~LoopThread() {
+    loop_.Stop();
+    thread_.join();
+  }
+  [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
+
+ private:
+  EventLoop loop_;
+  std::thread thread_;
+};
+
+/// Drives a Connection at a given batch depth. With a home loop, Ingest
+/// runs there and Feed blocks until every batch the input staged has been
+/// sequenced (parked flash reads included); without one it runs inline.
+class Harness {
+ public:
+  Harness(CacheService& service, std::size_t depth, EventLoop* home = nullptr)
       : conn_(service), home_(home) {
-    conn_.set_executor(executor, depth, home, [this] {
+    conn_.set_executor(nullptr, depth, home, [this] {
       if (!conn_.batch_in_flight()) Signal();
     });
   }
@@ -120,6 +140,11 @@ class BatchedHarness {
     });
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return done_; });
+  }
+
+  std::string Run(std::string_view data) {
+    Feed(data);
+    return TakeOutput();
   }
 
   std::string TakeOutput() {
@@ -143,14 +168,6 @@ class BatchedHarness {
   std::condition_variable cv_;
   bool done_ = true;
 };
-
-/// Serial reference: the untouched per-command path.
-std::string RunSerial(Connection& conn, std::string_view data) {
-  conn.Ingest(data.data(), data.size());
-  std::string out(conn.pending_output());
-  conn.ConsumeOutput(out.size());
-  return out;
-}
 
 void ExpectSameEngineState(CacheService& a, CacheService& b) {
   ASSERT_EQ(a.shard_count(), b.shard_count());
@@ -176,16 +193,9 @@ void ExpectSameEngineState(CacheService& a, CacheService& b) {
 
 // ---------------------------------------------------------------------------
 // Handcrafted full-surface pipeline: every verb family, noreply, multi-key
-// retrieval, barrier verbs mid-stream, a parse error, an oversized store
-// and a cas race — inline batched vs serial, byte for byte.
+// retrieval, barrier verbs mid-stream, a parse error, an oversized store,
+// a cas race and a fatal bad data chunk — byte for byte at both depths.
 TEST(ShardAffinityTest, BatchedInlineMatchesSerialByteForByte) {
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, 4);
-  auto batched_svc = MakeService(&clock_b, 4);
-  Connection serial(*serial_svc);
-  ShardExecutor executor(*batched_svc);  // unbound: inline synchronous
-  BatchedHarness batched(*batched_svc, &executor, nullptr, 8);
-
   std::string script;
   script += "set alpha 1000 0 5\r\nhello\r\n";
   script += "set bravo 2000 60 5\r\nworld\r\n";
@@ -212,71 +222,44 @@ TEST(ShardAffinityTest, BatchedInlineMatchesSerialByteForByte) {
   script += "get echo\r\n";
   script += "delete echo noreply\r\n";
   script += "delete echo\r\n";  // NOT_FOUND now
-  script += "bogus_verb a b c\r\n";  // ERROR via the serial barrier
+  script += "bogus_verb a b c\r\n";  // ERROR, an answered op
   script += "get alpha\r\n";
   script += "flush_all\r\n";   // barrier: everything below misses
   script += "get alpha\r\n";
   script += "stats\r\n";       // barrier with a multi-line reply
   script += "get bravo\r\n";
-
-  const std::string expect = RunSerial(serial, script);
-  batched.Feed(script);
-  const std::string got = batched.TakeOutput();
-  EXPECT_EQ(expect, got);
-  EXPECT_GT(executor.Batches(), 0u);
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-  EXPECT_EQ(serial.closing(), batched.conn().closing());
-
-  // An oversized store (> 1 MiB) barriers out to the serial discard path
-  // on both sides; the connection survives with identical bytes.
+  // An oversized store (> 1 MiB) is swallowed with an in-band error; the
+  // connection survives.
   std::string big = "set big 0 0 2097152\r\n";
   big.append(2'097'152, 'x');
   big += "\r\nget charlie\r\n";
-  const std::string expect2 = RunSerial(serial, big);
-  batched.Feed(big);
-  EXPECT_EQ(expect2, batched.TakeOutput());
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-
-  // A bad data chunk (payload not CRLF-terminated) is fatal on both paths.
+  // A bad data chunk (payload not CRLF-terminated) is fatal.
   const std::string bad = "set k 0 0 2\r\nxxxx\r\n";
-  const std::string expect3 = RunSerial(serial, bad);
-  batched.Feed(bad);
-  EXPECT_EQ(expect3, batched.TakeOutput());
-  EXPECT_TRUE(serial.closing());
-  EXPECT_TRUE(batched.conn().closing());
+
+  const Golden golden("affinity_handcrafted.golden");
+  std::vector<std::unique_ptr<CacheService>> services;
+  for (const std::size_t depth : kDepths) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    util::FakeClock clock(1'000'000'000);
+    services.push_back(MakeService(&clock, 4));
+    Harness conn(*services.back(), depth);
+    EXPECT_EQ(WithoutFailpointStats(conn.Run(script)), golden.at("script"));
+    EXPECT_FALSE(conn.conn().closing());
+    EXPECT_EQ(conn.Run(big), golden.at("big"));
+    EXPECT_FALSE(conn.conn().closing());
+    EXPECT_EQ(conn.Run(bad), golden.at("bad"));
+    EXPECT_TRUE(conn.conn().closing());
+  }
+  ExpectSameEngineState(*services[0], *services[1]);
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: a 400-deep mixed pipeline whose keys fan out across every
-// shard of a 3-loop executor. Execution is genuinely concurrent (remote
-// sub-batches run on other loop threads; chaos builds add randomized
-// per-op sleeps so sub-batch completion order is adversarial), yet the
-// response stream must equal the single-connection serial reference in
-// both content and order.
-TEST(ShardAffinityTest, CrossShardPipelineKeepsRequestOrder) {
-  constexpr std::size_t kShards = 8;
-  constexpr int kDepth = 400;
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, kShards);
-  auto batched_svc = MakeService(&clock_b, kShards);
-
-  LoopPool loops(3);
-  ShardExecutor executor(*batched_svc);
-  executor.Bind(loops.ptrs());
-
-#if PAMAKV_FAILPOINTS
-  // Skew the per-shard batch latencies: ~5% of batched ops stall 1ms, so
-  // fast shards finish long before slow ones and any re-sequencing bug
-  // would surface as out-of-order responses. The injection point lives in
-  // the batched executor only; the serial reference is unaffected.
-  ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
-#endif
-
-  // Every response embeds the request index, so a swap anywhere in the
-  // 400-deep window changes the bytes.
+// A 400-deep mixed pipeline whose keys fan out across 8 shards. Every
+// response embeds the request index, so a swap anywhere changes the bytes.
+std::string Pipeline400() {
   std::string script;
   Rng rng(2024);
-  for (int i = 0; i < kDepth; ++i) {
+  for (int i = 0; i < 400; ++i) {
     const std::string key = "k" + std::to_string(rng.NextBounded(96));
     const double dice = rng.NextDouble();
     if (dice < 0.4) {
@@ -295,78 +278,89 @@ TEST(ShardAffinityTest, CrossShardPipelineKeepsRequestOrder) {
       script += "touch " + key + " 60\r\n";
     }
   }
+  return script;
+}
 
-  Connection serial(*serial_svc);
-  const std::string expect = RunSerial(serial, script);
+TEST(ShardAffinityTest, CrossShardPipelineKeepsRequestOrder) {
+  const std::string script = Pipeline400();
+  const Golden golden("affinity_pipeline400.golden");
+  const std::string& expect = golden.at("pipeline");
+  for (const std::size_t depth : kDepths) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    util::FakeClock clock(1'000'000'000);
+    auto service = MakeService(&clock, 8);
+    Harness conn(*service, depth);
+    const std::string got = conn.Run(script);
+    ASSERT_EQ(expect.size(), got.size());
+    EXPECT_EQ(expect, got) << "cross-shard responses re-ordered or corrupted";
+  }
+}
 
-  BatchedHarness batched(*batched_svc, &executor, &loops.at(0), 32);
-  batched.Feed(script);
-  const std::string got = batched.TakeOutput();
+// The same pipeline on a flash-backed service whose DRAM holds 8 of the
+// ~14 keys per shard: evictions demote, and reads, incrs and touches of
+// demoted keys park their shard group on an IO-thread read that posts back
+// to the connection's loop. Every demoted key is served from flash, so the
+// client cannot tell — the bytes must equal the all-DRAM transcript, in
+// order, however the reads and groups interleave.
+TEST(ShardAffinityTest, FlashBackedPipelineKeepsRequestOrder) {
+  constexpr std::size_t kShards = 8;
+  TempDir dir;
+  util::FakeClock clock(1'000'000'000);
+  CacheServiceConfig cfg;
+  cfg.shards = kShards;
+  cfg.capacity_bytes = kShards * 2 * 64;  // two 64-byte slabs per shard
+  cfg.clock = &clock;
+  cfg.unix_now_s = 1'700'000'000;
+  SizeClassConfig geometry;
+  geometry.slab_bytes = 64;
+  geometry.num_classes = 3;
+  CacheService service(cfg, [geometry](Bytes bytes) {
+    return MakeEngine("memcached", bytes, geometry);
+  });
+  flash::FlashConfig fcfg;
+  fcfg.dir = dir.path();
+  fcfg.shards = kShards;
+  fcfg.segment_bytes = 64 * 1024;
+  fcfg.cap_bytes = 64ULL << 20;  // never collects: no demoted key is lost
+  flash::FlashTier tier(fcfg);
+  service.AttachFlash(&tier);
+  service.RecoverFlash();
+  tier.StartIo();
 
+#if PAMAKV_FAILPOINTS
+  // Skew group and read latencies so groups resume in adversarial orders.
+  ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
+  ASSERT_TRUE(util::FailPoints::Arm("flash.read", "sleep:2@p:0.3:7"));
+#endif
+  std::string got;
+  {
+    LoopThread home;
+    Harness conn(service, 64, &home.loop());
+    got = conn.Run(Pipeline400());
+  }
 #if PAMAKV_FAILPOINTS
   util::FailPoints::DisableAll();
 #endif
+  tier.StopIo();
 
+  const Golden golden("affinity_pipeline400.golden");
+  const std::string& expect = golden.at("pipeline");
   ASSERT_EQ(expect.size(), got.size());
-  EXPECT_EQ(expect, got) << "cross-shard responses re-ordered or corrupted";
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-  // The fan-out genuinely crossed loops: remote sub-batches were posted.
-  EXPECT_GT(executor.OwnerPosts() + executor.InlineReadBatches(), 0u);
+  EXPECT_EQ(expect, got) << "flash-parked responses re-ordered or corrupted";
+  const ServiceCounters counters = service.TotalCounters();
+  EXPECT_GT(counters.flash_promotes, 0u);
+  EXPECT_EQ(counters.flash_read_failures, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Striped read path: an all-read sub-batch targeting a shard owned by
-// another loop executes on the requesting thread via try_lock, skipping
-// the owner-thread hop — and the bytes still match the serial reference.
-TEST(ShardAffinityTest, StripedReadsServeRemoteShardsInline) {
-  constexpr std::size_t kShards = 4;
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, kShards);
-  auto batched_svc = MakeService(&clock_b, kShards);
-
-  LoopPool loops(2);
-  ShardExecutor executor(*batched_svc);
-  executor.Bind(loops.ptrs());
-  BatchedHarness batched(*batched_svc, &executor, &loops.at(0), 64);
-  Connection serial(*serial_svc);
-
-  std::string fill;
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "s" + std::to_string(i);
-    fill += "set " + key + " 1000 0 4\r\nv" +
-            std::to_string(i % 10) + std::to_string((i / 10) % 10) +
-            std::to_string(i % 7) + "\r\n";
-  }
-  const std::string fill_expect = RunSerial(serial, fill);
-  batched.Feed(fill);
-  ASSERT_EQ(fill_expect, batched.TakeOutput());
-
-  std::string reads;
-  for (int i = 0; i < 64; ++i) {
-    reads += (i % 2 == 0 ? "get s" : "gets s") + std::to_string(i) + "\r\n";
-  }
-  const std::string reads_expect = RunSerial(serial, reads);
-  batched.Feed(reads);
-  EXPECT_EQ(reads_expect, batched.TakeOutput());
-  // No contention in this test, so every remote all-read sub-batch must
-  // have taken the striped path.
-  EXPECT_GT(executor.InlineReadBatches(), 0u);
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 2: seeded random equivalence property. One op stream (all verb
-// families, TTLs that really expire, cas races, noreply, barriers, parse
-// errors) through three executions — serial, inline-batched, multi-loop
-// batched — must produce identical wire bytes per chunk and identical
-// final shard states. Seeds are printed and replayable:
+// Seeded random equivalence property. One op stream (all verb families,
+// TTLs that really expire, cas races, noreply, barriers, parse errors) at
+// depth 1 and 64 must reproduce its transcript per chunk and leave both
+// services in identical shard states. Seeds are printed and replayable:
 //   PAMAKV_AFFINITY_SEED=<n> ctest -R SeededRandomOps
-struct OpStream {
-  std::vector<std::string> chunks;
-};
-
-OpStream GenerateStream(std::uint64_t seed, int chunks, int ops_per_chunk) {
-  OpStream stream;
+std::vector<std::string> GenerateStream(std::uint64_t seed, int chunks,
+                                        int ops_per_chunk) {
+  std::vector<std::string> stream;
   Rng rng(seed);
   for (int c = 0; c < chunks; ++c) {
     std::string s;
@@ -430,17 +424,18 @@ OpStream GenerateStream(std::uint64_t seed, int chunks, int ops_per_chunk) {
         s += "get\r\n";
       }
     }
-    stream.chunks.push_back(std::move(s));
+    stream.push_back(std::move(s));
   }
   return stream;
 }
 
 TEST(ShardAffinityTest, SeededRandomOpsAreEquivalentOnAllPaths) {
-  constexpr std::size_t kShards = 5;  // odd on purpose: loops don't divide it
+  constexpr std::size_t kShards = 5;  // odd on purpose
   std::vector<std::uint64_t> seeds = {11, 42, 1337};
   if (const char* env = std::getenv("PAMAKV_AFFINITY_SEED")) {
     seeds = {std::strtoull(env, nullptr, 10)};
   }
+  const Golden golden("affinity_seeded.golden");
 
   for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -449,43 +444,34 @@ TEST(ShardAffinityTest, SeededRandomOpsAreEquivalentOnAllPaths) {
                  "PAMAKV_AFFINITY_SEED=%llu)\n",
                  static_cast<unsigned long long>(seed),
                  static_cast<unsigned long long>(seed));
-    const OpStream stream = GenerateStream(seed, /*chunks=*/6,
-                                           /*ops_per_chunk=*/400);
+    const std::vector<std::string> stream =
+        GenerateStream(seed, /*chunks=*/6, /*ops_per_chunk=*/400);
 
-    util::FakeClock serial_clock(1'000'000'000);
-    util::FakeClock inline_clock(1'000'000'000);
-    util::FakeClock multi_clock(1'000'000'000);
-    auto serial_svc = MakeService(&serial_clock, kShards);
-    auto inline_svc = MakeService(&inline_clock, kShards);
-    auto multi_svc = MakeService(&multi_clock, kShards);
+    // Depth 1 runs inline on this thread, depth 64 on a home loop.
+    util::FakeClock shallow_clock(1'000'000'000);
+    util::FakeClock deep_clock(1'000'000'000);
+    auto shallow_svc = MakeService(&shallow_clock, kShards);
+    auto deep_svc = MakeService(&deep_clock, kShards);
+    LoopThread home;
+    Harness shallow(*shallow_svc, 1);
+    Harness deep(*deep_svc, 64, &home.loop());
 
-    Connection serial(*serial_svc);
-    ShardExecutor inline_exec(*inline_svc);  // unbound: synchronous
-    BatchedHarness inline_conn(*inline_svc, &inline_exec, nullptr, 16);
-    LoopPool loops(3);
-    ShardExecutor multi_exec(*multi_svc);
-    multi_exec.Bind(loops.ptrs());
-    BatchedHarness multi_conn(*multi_svc, &multi_exec, &loops.at(0), 16);
-
-    for (std::size_t c = 0; c < stream.chunks.size(); ++c) {
+    for (std::size_t c = 0; c < stream.size(); ++c) {
       SCOPED_TRACE("chunk " + std::to_string(c));
-      const std::string& chunk = stream.chunks[c];
-      const std::string expect = RunSerial(serial, chunk);
-      inline_conn.Feed(chunk);
-      EXPECT_EQ(expect, inline_conn.TakeOutput());
-      multi_conn.Feed(chunk);
-      EXPECT_EQ(expect, multi_conn.TakeOutput());
-      // Advance all three clocks identically while every path is
-      // quiescent: TTLs of 1–3s (and the flush_all 2 epochs) really
-      // expire between chunks, on exactly the same boundary everywhere.
-      serial_clock.Advance(1500ms);
-      inline_clock.Advance(1500ms);
-      multi_clock.Advance(1500ms);
+      const std::string part =
+          "seed" + std::to_string(seed) + "/chunk" + std::to_string(c);
+      const std::string got_shallow = shallow.Run(stream[c]);
+      EXPECT_EQ(got_shallow, deep.Run(stream[c]));
+      if (golden.has(part)) {
+        EXPECT_EQ(got_shallow, golden.at(part));
+      }
+      // Advance both clocks identically while both are quiescent: TTLs of
+      // 1–3s (and the flush_all 2 epochs) really expire between chunks,
+      // on exactly the same boundary everywhere.
+      shallow_clock.Advance(1500ms);
+      deep_clock.Advance(1500ms);
     }
-
-    ExpectSameEngineState(*serial_svc, *inline_svc);
-    ExpectSameEngineState(*serial_svc, *multi_svc);
-    EXPECT_GT(multi_exec.OwnerPosts(), 0u);
+    ExpectSameEngineState(*shallow_svc, *deep_svc);
   }
 }
 
@@ -496,11 +482,10 @@ TEST(ShardAffinityTest, SeededRandomOpsAreEquivalentOnAllPaths) {
 // bytes.
 TEST(ShardAffinityTest, BytewiseFeedMatchesWholeFeed) {
   util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, 4);
-  auto batched_svc = MakeService(&clock_b, 4);
-  Connection serial(*serial_svc);
-  ShardExecutor executor(*batched_svc);
-  BatchedHarness batched(*batched_svc, &executor, nullptr, 8);
+  auto whole_svc = MakeService(&clock_a, 4);
+  auto bytewise_svc = MakeService(&clock_b, 4);
+  Harness whole(*whole_svc, 8);
+  Harness bytewise(*bytewise_svc, 8);
 
   std::string script;
   script += "set split 123 0 10\r\n0123456789\r\n";
@@ -510,26 +495,133 @@ TEST(ShardAffinityTest, BytewiseFeedMatchesWholeFeed) {
   script += "version\r\n";
   script += "delete split\r\n";
 
-  const std::string expect = RunSerial(serial, script);
-  for (const char byte : script) batched.Feed(std::string_view(&byte, 1));
-  EXPECT_EQ(expect, batched.TakeOutput());
-  ExpectSameEngineState(*serial_svc, *batched_svc);
+  const std::string expect = whole.Run(script);
+  for (const char byte : script) bytewise.Feed(std::string_view(&byte, 1));
+  EXPECT_EQ(expect, bytewise.TakeOutput());
+  ExpectSameEngineState(*whole_svc, *bytewise_svc);
+}
+
+// ---------------------------------------------------------------------------
+// Flash and batching compose on a live server: two loop threads, batch
+// depth 64, a DRAM of four 1 KiB slabs per shard and a flash tier. Values
+// and counters are stored until the early ones demote, then pipelined get,
+// gets, gat, gats, append, prepend, incr, decr, touch and delete reach the
+// demoted keys through batches. Each phase must answer with the bytes a
+// serial per-command server sent for the same conversation.
+std::vector<std::string> FlashWirePhases() {
+  const auto payload = [](int i) {
+    std::string v = "value-" + std::to_string(i) + "-";
+    v.append(100 - v.size(), 'p');
+    return v;
+  };
+  std::vector<std::string> phases;
+  std::string counters;  // one slab of the 16-byte class per shard
+  for (int i = 0; i < 10; ++i) {
+    counters += "set c:" + std::to_string(i) + " 1500 0 4\r\n" +
+                std::to_string(1000 + i) + "\r\n";
+  }
+  phases.push_back(counters);
+  std::string values;  // overflow the 128-byte class: v:0.. demote
+  for (int i = 0; i < 60; ++i) {
+    values += "set v:" + std::to_string(i) + " 2000 0 100\r\n" + payload(i) +
+              "\r\n";
+  }
+  phases.push_back(values);
+  std::string more;  // overflow the counters' slab: c:0.. demote
+  for (int i = 10; i < 200; ++i) {
+    more += "set c:" + std::to_string(i) + " 1500 0 4\r\n" +
+            std::to_string(1000 + i) + "\r\n";
+  }
+  phases.push_back(more);
+  std::string probe;
+  probe += "get v:0\r\n";
+  probe += "gets v:1 v:59 v:2\r\n";
+  probe += "gat 3600 v:3\r\n";
+  probe += "gats 3600 v:4 v:5\r\n";
+  probe += "append v:6 0 0 5\r\n-tail\r\n";
+  probe += "prepend v:7 0 0 5\r\nhead-\r\n";
+  probe += "get v:6 v:7\r\n";
+  probe += "incr c:0 1\r\n";
+  probe += "incr c:1 5\r\n";
+  probe += "decr c:2 3\r\n";
+  probe += "get c:0 c:1 c:2 c:199\r\n";
+  probe += "touch v:8 3600\r\n";
+  probe += "delete v:9\r\n";
+  probe += "get v:9\r\n";
+  probe += "add v:10 0 0 1\r\nx\r\n";
+  probe += "replace v:11 0 0 3\r\nnew\r\n";
+  probe += "get v:10 v:11 v:12 v:13\r\n";
+  probe += "incr c:3 1\r\nget c:3 c:4\r\n";
+  phases.push_back(probe);
+  std::string sweep;
+  for (int i = 0; i < 60; ++i) sweep += "get v:" + std::to_string(i) + "\r\n";
+  for (int i = 0; i < 200; i += 7) {
+    sweep += "incr c:" + std::to_string(i) + " 2\r\n";
+  }
+  phases.push_back(sweep);
+  return phases;
+}
+
+TEST(ShardAffinityTest, FlashBatchesServeDemotedKeysOverTheWire) {
+  TempDir dir;
+  CacheServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.capacity_bytes = 2 * 4 * 1024;  // four 1 KiB slabs per shard
+  SizeClassConfig geometry;
+  geometry.slab_bytes = 1024;
+  geometry.num_classes = 7;
+  CacheService service(cfg, [geometry](Bytes bytes) {
+    return MakeEngine("memcached", bytes, geometry);
+  });
+  flash::FlashConfig fcfg;
+  fcfg.dir = dir.path();
+  fcfg.shards = cfg.shards;
+  fcfg.cap_bytes = 64ULL << 20;
+  flash::FlashTier tier(fcfg);
+  service.AttachFlash(&tier);
+  service.RecoverFlash();
+  tier.StartIo();
+  ServerConfig scfg;
+  scfg.port = 0;
+  scfg.threads = 2;
+  scfg.batch_depth = 64;
+  Server server(scfg, service);
+  server.Start();
+
+  const Golden golden("flash_wire.golden");
+  BlockingClient client;
+  client.Connect("127.0.0.1", server.port());
+  const std::vector<std::string> phases = FlashWirePhases();
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    SCOPED_TRACE("phase " + std::to_string(p));
+    const std::string& expect = golden.at("phase" + std::to_string(p));
+    client.SendRaw(phases[p]);
+    std::string got;
+    client.ReadExact(got, expect.size());
+    EXPECT_EQ(got, expect);
+  }
+  std::uint64_t batches = 0;
+  for (const auto& [name, value] : client.Stats()) {
+    if (name == "executor_batches") batches = value;
+  }
+  client.Close();
+  EXPECT_TRUE(server.Shutdown(std::chrono::milliseconds(10'000)));
+  EXPECT_GT(batches, 0u);
+  const ServiceCounters counters = service.TotalCounters();
+  EXPECT_GT(counters.flash_promotes, 0u);
+  EXPECT_EQ(counters.flash_read_failures, 0u);
 }
 
 #if PAMAKV_FAILPOINTS
 // ---------------------------------------------------------------------------
-// bad_alloc inside a batched storage op must degrade exactly like the
-// serial path: SERVER_ERROR in-band, connection survives, every other op
-// in the batch unaffected.
+// bad_alloc inside a batched storage op degrades in-band: SERVER_ERROR,
+// connection survives, every other op in the batch unaffected.
 TEST(ShardAffinityTest, OomInsideBatchDegradesLikeSerial) {
   util::FakeClock clock(1'000'000'000);
   auto svc = MakeService(&clock, 4);
-  ShardExecutor executor(*svc);
-  BatchedHarness batched(*svc, &executor, nullptr, 8);
+  Harness batched(*svc, 8);
 
-  std::string warm = "set a 0 0 1\r\nx\r\n";
-  batched.Feed(warm);
-  EXPECT_EQ("STORED\r\n", batched.TakeOutput());
+  EXPECT_EQ("STORED\r\n", batched.Run("set a 0 0 1\r\nx\r\n"));
 
   // svc.store_bytes throws while staging the value bytes of the next
   // store; the op fails in-band and the batch keeps going.
@@ -538,20 +630,17 @@ TEST(ShardAffinityTest, OomInsideBatchDegradesLikeSerial) {
   script += "get a\r\n";
   script += "set victim 0 0 600\r\n" + std::string(600, 'v') + "\r\n";
   script += "get a\r\n";
-  batched.Feed(script);
+  const std::string got = batched.Run(script);
   util::FailPoints::DisableAll();
 
-  const std::string got = batched.TakeOutput();
   const std::string value_block = "VALUE a 0 1\r\nx\r\nEND\r\n";
   EXPECT_EQ(value_block + std::string(kStoreOomReply) + value_block, got);
   EXPECT_FALSE(batched.conn().closing());
 
   // A non-storage op hitting OOM (svc.batch point) fails the batch and
-  // closes the connection — same outcome as serial, where bad_alloc from
-  // a get propagates out of Ingest and the server drops the connection.
+  // closes the connection.
   ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "oom@once"));
-  std::string fatal = "get a\r\n";
-  batched.Feed(fatal);
+  batched.Feed("get a\r\n");
   util::FailPoints::DisableAll();
   EXPECT_TRUE(batched.conn().closing());
 }

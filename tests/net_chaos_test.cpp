@@ -218,10 +218,9 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
     server_cfg.accept_retry_ms = 5;  // real clock: pauses self-heal fast
     server_cfg.reap_interval_ms = 20;  // background expiry under fire
     server_cfg.reap_batch = 128;
-    // The storm runs on the shard-affine path: every connection stages
-    // into per-shard batches and, with two loop threads over two shards,
-    // sub-batches genuinely cross owner loops (striped reads stay on by
-    // default, so the optimistic read path is under fire too).
+    // Every connection stages into per-shard batches; with two loop
+    // threads over two shards, groups of one shard run on both loops,
+    // serialized by the shard mutex.
     server_cfg.batch_depth = 32;
     Server server(server_cfg, service);
     util::MetricsRegistry registry;
@@ -410,12 +409,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,
 
 // ---- flash-tier storm ----
 //
-// A second storm with the flash victim tier attached (which disables the
-// batch executor, so it cannot share the storm above without losing the
-// batching invariants). DRAM is sized well below the working set, so the
-// workers' stores continuously evict and demote under armed
-// flash.open/flash.append/flash.read faults; gets on demoted keys run the
-// deferred-read promote path through real connections. After the storm
+// A second storm with the flash victim tier attached, on the same batched
+// path. DRAM is sized well below the working set, so the workers' stores
+// continuously evict and demote under armed flash.open/flash.append/
+// flash.read faults; gets on demoted keys park their shard group on the
+// read and promote through real connections. After the storm
 // calms, the tier must reconcile exactly: per-shard byte/segment
 // accounting equals what is actually on disk (every EIO'd or torn append
 // accounted), and per-band demote counters sum to the demote total.

@@ -3,13 +3,15 @@
 // invariance (the response stream must not depend on how the request
 // bytes were fragmented by TCP). All through Connection::Ingest — no
 // sockets — so the same paths the server runs are covered deterministically
-// and under ASAN.
+// and under ASAN. The split-position and mutation corpora are also held to
+// golden transcripts (golden.hpp) at batch depth 1 and 64.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
+#include "golden.hpp"
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/connection.hpp"
 #include "pamakv/policy/no_realloc.hpp"
@@ -391,22 +393,21 @@ TEST(ConnectionTest, EverySplitPositionProducesIdenticalOutput) {
       "flush_all\r\n"      // immediate: everything dies
       "get fresh ctr\r\n"
       "version\r\n";
-  std::string reference;
-  {
-    auto service = MakeService();
-    Connection conn(*service);
-    reference = RunStream(conn, corpus).first;
-  }
+  const test::Golden golden("protocol_split.golden");
+  const std::string& reference = golden.at("corpus");
   ASSERT_FALSE(reference.empty());
-  for (std::size_t cut = 0; cut <= corpus.size(); ++cut) {
-    auto service = MakeService();
-    Connection conn(*service);
-    bool open = conn.Ingest(corpus.data(), cut);
-    ASSERT_TRUE(open) << "closed at cut " << cut;
-    open = conn.Ingest(corpus.data() + cut, corpus.size() - cut);
-    ASSERT_TRUE(open) << "closed at cut " << cut;
-    ASSERT_EQ(std::string(conn.pending_output()), reference)
-        << "divergence with split at byte " << cut;
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{64}}) {
+    for (std::size_t cut = 0; cut <= corpus.size(); ++cut) {
+      auto service = MakeService();
+      Connection conn(*service);
+      conn.set_executor(nullptr, depth, nullptr, nullptr);
+      bool open = conn.Ingest(corpus.data(), cut);
+      ASSERT_TRUE(open) << "closed at cut " << cut;
+      open = conn.Ingest(corpus.data() + cut, corpus.size() - cut);
+      ASSERT_TRUE(open) << "closed at cut " << cut;
+      ASSERT_EQ(std::string(conn.pending_output()), reference)
+          << "divergence with split at byte " << cut << ", depth " << depth;
+    }
   }
 }
 
@@ -476,8 +477,10 @@ TEST(ConnectionTest, SeededMutationFuzzNeverCrashes) {
   // GarbageFuzzNeverCrashes this keeps the input *almost* well-formed, so
   // it lands in the narrow error paths (bad header fields, payload length
   // off by a few, truncated CRLF) rather than in the reject-everything
-  // fast path. Assertion: no crash/UB, and the connection is either open
-  // or was closed by an explicit error response.
+  // fast path. Assertions: no crash/UB, the connection is either open or
+  // was closed by an explicit error response, and every trial's bytes and
+  // open/closed outcome match its transcript at depth 1 and 64.
+  const test::Golden golden("protocol_mutation.golden");
   const std::string base =
       "set k1 10 0 4\r\nabcd\r\nset k2 20 60 6\r\nsixsix\r\n"
       "get k1 k2\r\ngets k1\r\n"
@@ -487,44 +490,54 @@ TEST(ConnectionTest, SeededMutationFuzzNeverCrashes) {
       "touch k2 120\r\ngat 60 k1 k3\r\n"
       "flush_all 5\r\nflush_all\r\n"
       "delete k2\r\nstats\r\nversion\r\n";
-  Rng rng(20'260'807);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string stream = base;
-    const int mutations = 1 + static_cast<int>(rng.NextBounded(8));
-    for (int m = 0; m < mutations; ++m) {
-      if (stream.empty()) break;
-      const std::size_t pos = rng.NextBounded(stream.size());
-      switch (rng.NextBounded(3)) {
-        case 0:  // flip
-          stream[pos] = static_cast<char>(rng.NextBounded(256));
-          break;
-        case 1:  // insert
-          stream.insert(pos, 1, static_cast<char>(rng.NextBounded(256)));
-          break;
-        default:  // delete
-          stream.erase(pos, 1);
-          break;
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{64}}) {
+    Rng rng(20'260'807);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string stream = base;
+      const int mutations = 1 + static_cast<int>(rng.NextBounded(8));
+      for (int m = 0; m < mutations; ++m) {
+        if (stream.empty()) break;
+        const std::size_t pos = rng.NextBounded(stream.size());
+        switch (rng.NextBounded(3)) {
+          case 0:  // flip
+            stream[pos] = static_cast<char>(rng.NextBounded(256));
+            break;
+          case 1:  // insert
+            stream.insert(pos, 1, static_cast<char>(rng.NextBounded(256)));
+            break;
+          default:  // delete
+            stream.erase(pos, 1);
+            break;
+        }
       }
+      auto service = MakeService(1, 1024 * 1024);
+      Connection conn(*service);
+      conn.set_executor(nullptr, depth, nullptr, nullptr);
+      std::size_t pos = 0;
+      bool open = true;
+      while (pos < stream.size() && open) {
+        const std::size_t take =
+            std::min<std::size_t>(1 + rng.NextBounded(64), stream.size() - pos);
+        open = conn.Ingest(stream.data() + pos, take);
+        pos += take;
+      }
+      const std::string part =
+          "trial" + std::to_string(trial) + (open ? " open" : " closed");
+      ASSERT_TRUE(golden.has(part))
+          << "trial " << trial << " changed open/closed, depth " << depth;
+      EXPECT_EQ(test::WithoutFailpointStats(conn.pending_output()),
+                golden.at(part))
+          << "trial " << trial << ", depth " << depth;
+      if (!open) {
+        // A close must have been explained on the wire (or be quit-silent).
+        const std::string out(conn.pending_output());
+        EXPECT_TRUE(out.empty() || out.find("ERROR") != std::string::npos ||
+                    out.find("END") != std::string::npos ||
+                    out.find("STORED") != std::string::npos)
+            << "trial " << trial << " closed silently with: " << out;
+      }
+      conn.ConsumeOutput(conn.pending_output().size());
     }
-    auto service = MakeService(1, 1024 * 1024);
-    Connection conn(*service);
-    std::size_t pos = 0;
-    bool open = true;
-    while (pos < stream.size() && open) {
-      const std::size_t take =
-          std::min<std::size_t>(1 + rng.NextBounded(64), stream.size() - pos);
-      open = conn.Ingest(stream.data() + pos, take);
-      pos += take;
-    }
-    if (!open) {
-      // A close must have been explained on the wire (or be quit-silent).
-      const std::string out(conn.pending_output());
-      EXPECT_TRUE(out.empty() || out.find("ERROR") != std::string::npos ||
-                  out.find("END") != std::string::npos ||
-                  out.find("STORED") != std::string::npos)
-          << "trial " << trial << " closed silently with: " << out;
-    }
-    conn.ConsumeOutput(conn.pending_output().size());
   }
 }
 

@@ -1,19 +1,63 @@
+// String keys: HashStringKey, and the collision discipline of the
+// string-keyed front end (CacheService) that stores the exact key string
+// next to each 64-bit id.
+
 #include "pamakv/cache/string_keys.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "pamakv/net/cache_service.hpp"
 #include "pamakv/policy/no_realloc.hpp"
 
 namespace pamakv {
 namespace {
 
-StringKeyCache MakeCache(Bytes capacity = 4ULL * 1024 * 1024) {
-  EngineConfig cfg;
+using net::CacheService;
+using net::StoreStatus;
+using net::StoreVerb;
+
+/// A one-shard service whose engine the test can reach directly, which is
+/// how a collision is planted: real 64-bit collisions are astronomically
+/// unlikely, so an entry is put in the engine under the id a string
+/// hashes to, without the service knowing the string — exactly the state
+/// a collision would produce (the id is occupied by a key whose stored
+/// name doesn't match).
+struct Node {
+  CacheEngine* engine = nullptr;
+  std::unique_ptr<CacheService> service;
+};
+
+Node MakeNode(Bytes capacity = 4ULL * 1024 * 1024) {
+  Node node;
+  net::CacheServiceConfig cfg;
+  cfg.shards = 1;
   cfg.capacity_bytes = capacity;
-  return StringKeyCache(std::make_unique<CacheEngine>(
-      cfg, std::make_unique<NoReallocPolicy>()));
+  cfg.default_penalty_us = 5'000;
+  node.service = std::make_unique<CacheService>(
+      cfg, [&node](Bytes bytes) {
+        EngineConfig ecfg;
+        ecfg.capacity_bytes = bytes;
+        auto engine = std::make_unique<CacheEngine>(
+            ecfg, std::make_unique<NoReallocPolicy>());
+        node.engine = engine.get();
+        return engine;
+      });
+  return node;
+}
+
+bool Set(CacheService& service, std::string_view key, std::string_view value) {
+  return service.Store(StoreVerb::kSet, key, 1000, 0, value) ==
+         StoreStatus::kStored;
+}
+
+bool Hit(CacheService& service, std::string_view key) {
+  std::vector<char> out;
+  return service.Get(key, out, /*with_cas=*/false);
 }
 
 TEST(StringKeyTest, HashIsDeterministicAndSpreads) {
@@ -31,103 +75,105 @@ TEST(StringKeyTest, EmptyAndBinaryKeysWork) {
 }
 
 TEST(StringKeyTest, SetGetDelRoundTrip) {
-  auto cache = MakeCache();
-  EXPECT_TRUE(cache.Set("session:alice", 200, 30'000).stored);
-  EXPECT_TRUE(cache.Get("session:alice", 200, 30'000).hit);
-  EXPECT_FALSE(cache.Get("session:bob", 200, 30'000).hit);
-  EXPECT_TRUE(cache.Contains("session:alice"));
-  EXPECT_TRUE(cache.Del("session:alice"));
-  EXPECT_FALSE(cache.Contains("session:alice"));
-  EXPECT_FALSE(cache.Del("session:alice"));
+  Node node = MakeNode();
+  EXPECT_TRUE(Set(*node.service, "session:alice", "alice"));
+  EXPECT_TRUE(Hit(*node.service, "session:alice"));
+  EXPECT_FALSE(Hit(*node.service, "session:bob"));
+  EXPECT_TRUE(node.service->Del("session:alice"));
+  EXPECT_FALSE(Hit(*node.service, "session:alice"));
+  EXPECT_FALSE(node.service->Del("session:alice"));
 }
 
 TEST(StringKeyTest, ManyKeysNoFalseHits) {
-  auto cache = MakeCache();
+  Node node = MakeNode();
   for (int i = 0; i < 2000; ++i) {
-    cache.Set("item/" + std::to_string(i), 64, 1000);
+    Set(*node.service, "item/" + std::to_string(i), "v");
   }
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_TRUE(cache.Contains("item/" + std::to_string(i))) << i;
+    EXPECT_TRUE(Hit(*node.service, "item/" + std::to_string(i))) << i;
   }
   for (int i = 2000; i < 4000; ++i) {
-    EXPECT_FALSE(cache.Contains("item/" + std::to_string(i))) << i;
+    EXPECT_FALSE(Hit(*node.service, "item/" + std::to_string(i))) << i;
   }
-  EXPECT_EQ(cache.collisions_resolved(), 0u);
+  EXPECT_EQ(node.service->CollisionsResolved(), 0u);
 }
 
 TEST(StringKeyTest, UpdatesKeepOneCopy) {
-  auto cache = MakeCache();
-  cache.Set("k", 64, 1000);
-  cache.Set("k", 128, 2000);
-  EXPECT_EQ(cache.engine().item_count(), 1u);
-  EXPECT_TRUE(cache.Get("k", 128, 2000).hit);
+  Node node = MakeNode();
+  Set(*node.service, "k", std::string(64, 'a'));
+  Set(*node.service, "k", std::string(128, 'b'));
+  EXPECT_EQ(node.service->ItemCount(), 1u);
+  std::vector<char> out;
+  ASSERT_TRUE(node.service->Get("k", out, false));
+  EXPECT_NE(std::string(out.begin(), out.end()).find(std::string(128, 'b')),
+            std::string::npos);
 }
 
 TEST(StringKeyTest, DelThenReinsertRoundTrip) {
-  auto cache = MakeCache();
-  ASSERT_TRUE(cache.Set("churn", 64, 1000).stored);
-  ASSERT_TRUE(cache.Del("churn"));
-  EXPECT_FALSE(cache.Contains("churn"));
-  // Reinsert after delete must behave like a fresh store, not an update.
-  const auto r = cache.Set("churn", 128, 2000);
-  ASSERT_TRUE(r.stored);
-  EXPECT_FALSE(r.updated);
-  EXPECT_TRUE(cache.Get("churn", 128, 2000).hit);
-  EXPECT_EQ(cache.engine().item_count(), 1u);
-  EXPECT_EQ(cache.collisions_resolved(), 0u);
+  Node node = MakeNode();
+  ASSERT_TRUE(Set(*node.service, "churn", "first"));
+  ASSERT_TRUE(node.service->Del("churn"));
+  EXPECT_FALSE(Hit(*node.service, "churn"));
+  // Reinsert after delete behaves like a fresh store, not an update.
+  ASSERT_TRUE(Set(*node.service, "churn", "second"));
+  EXPECT_TRUE(Hit(*node.service, "churn"));
+  EXPECT_EQ(node.service->ItemCount(), 1u);
+  EXPECT_EQ(node.engine->stats().set_updates, 0u);
+  EXPECT_EQ(node.service->CollisionsResolved(), 0u);
 }
 
-// Real 64-bit collisions are astronomically unlikely, so the collision
-// path is exercised by planting an entry directly in the engine under the
-// id that a string hashes to, without registering the string in the
-// verification table — exactly the state a collision would produce (the
-// id is occupied by a key whose stored name doesn't match).
 TEST(StringKeyTest, GetResolvesCollisionAsMissAndDropsSquatter) {
-  auto cache = MakeCache();
+  Node node = MakeNode();
   const KeyId id = HashStringKey("victim");
-  ASSERT_TRUE(cache.engine().Set(id, 64, 1000).stored);
-  ASSERT_TRUE(cache.engine().Contains(id));
+  ASSERT_TRUE(node.engine->Set(id, 64, 1000).stored);
 
-  // The squatter must not be served as a hit for "victim".
-  EXPECT_FALSE(cache.Get("victim", 64, 1000).hit);
-  EXPECT_EQ(cache.collisions_resolved(), 1u);
+  // The squatter must not be served as a hit for "victim"...
+  std::vector<char> out;
+  EXPECT_FALSE(node.service->Get("victim", out, false));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
   // ...and it is gone: the id is free for the verified owner.
-  EXPECT_FALSE(cache.engine().Contains(id));
-  ASSERT_TRUE(cache.Set("victim", 64, 1000).stored);
-  EXPECT_TRUE(cache.Get("victim", 64, 1000).hit);
-  EXPECT_EQ(cache.collisions_resolved(), 1u);  // no further collisions
+  EXPECT_FALSE(node.engine->Contains(id));
+  ASSERT_TRUE(Set(*node.service, "victim", "mine"));
+  EXPECT_TRUE(Hit(*node.service, "victim"));
+  EXPECT_EQ(node.service->CollisionsResolved(), 1u);  // no further collisions
 }
 
-TEST(StringKeyTest, DelRefusesToRemoveCollidingStranger) {
-  auto cache = MakeCache();
+TEST(StringKeyTest, DelOfCollidingKeyMissesAndDropsSquatter) {
+  Node node = MakeNode();
   const KeyId id = HashStringKey("victim");
-  ASSERT_TRUE(cache.engine().Set(id, 64, 1000).stored);
+  ASSERT_TRUE(node.engine->Set(id, 64, 1000).stored);
 
-  // DEL of a name whose id is occupied by someone else must not remove
-  // that someone else's entry.
-  EXPECT_FALSE(cache.Del("victim"));
-  EXPECT_TRUE(cache.engine().Contains(id));
+  // DELETE of a name whose id someone else occupies answers NOT_FOUND —
+  // the squatter is not this key — and, as on every access, the squatter
+  // is dropped so both names see consistent misses from here on.
+  EXPECT_FALSE(node.service->Del("victim"));
+  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
+  EXPECT_FALSE(node.engine->Contains(id));
+  EXPECT_FALSE(Hit(*node.service, "victim"));
 }
 
 TEST(StringKeyTest, SetResolvesCollisionThenOwnsTheId) {
-  auto cache = MakeCache();
+  Node node = MakeNode();
   const KeyId id = HashStringKey("victim");
-  ASSERT_TRUE(cache.engine().Set(id, 64, 1000).stored);
+  ASSERT_TRUE(node.engine->Set(id, 64, 1000).stored);
 
-  ASSERT_TRUE(cache.Set("victim", 96, 2000).stored);
-  EXPECT_EQ(cache.collisions_resolved(), 1u);
-  EXPECT_TRUE(cache.Contains("victim"));
-  EXPECT_EQ(cache.engine().item_count(), 1u);
+  ASSERT_TRUE(Set(*node.service, "victim", "mine"));
+  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
+  EXPECT_TRUE(Hit(*node.service, "victim"));
+  EXPECT_EQ(node.service->ItemCount(), 1u);
+  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
 }
 
 TEST(StringKeyTest, StatsFlowThrough) {
-  auto cache = MakeCache();
-  cache.Set("x", 64, 1000);
-  cache.Get("x", 64, 1000);
-  cache.Get("y", 64, 5000);
-  EXPECT_EQ(cache.stats().gets, 2u);
-  EXPECT_EQ(cache.stats().get_hits, 1u);
-  EXPECT_EQ(cache.stats().miss_penalty_total_us, 5000u);
+  Node node = MakeNode();
+  Set(*node.service, "x", "value");
+  Hit(*node.service, "x");
+  Hit(*node.service, "y");  // never stored: charged the default penalty
+  const CacheStats stats = node.service->TotalStats();
+  EXPECT_EQ(stats.gets, 2u);
+  EXPECT_EQ(stats.get_hits, 1u);
+  EXPECT_EQ(stats.miss_penalty_total_us, 5000u);
 }
 
 }  // namespace
