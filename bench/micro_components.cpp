@@ -1,15 +1,31 @@
 // Microbenchmarks (google-benchmark) for the per-request building blocks:
 // order-statistic LRU stack, ghost list, Bloom filters, hash index, Zipf
 // sampling, and the full engine GET/SET path. These bound the simulator's
-// cost per operation and document the O(log n) / O(1) claims.
+// cost per operation and document the O(log n) / O(1) claims. The durable
+// byte path has one bench per layer: the frame CRC, a WAL store append,
+// and a flash frame read (inline from the page cache against ReadNow).
+//
+//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead'
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "pamakv/bloom/bloom_filter.hpp"
 #include "pamakv/cache/hash_index.hpp"
 #include "pamakv/ds/ghost_list.hpp"
 #include "pamakv/ds/lru_stack.hpp"
+#include "pamakv/flash/flash_tier.hpp"
+#include "pamakv/persist/format.hpp"
+#include "pamakv/persist/wal.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/trace/generators.hpp"
+#include "pamakv/util/crc32.hpp"
 #include "pamakv/util/rng.hpp"
 #include "pamakv/util/zipf.hpp"
 
@@ -118,6 +134,122 @@ void BM_EngineGetSet(benchmark::State& state) {
   state.SetLabel(scheme);
 }
 BENCHMARK(BM_EngineGetSet)->Arg(0)->Arg(1);
+
+/// A mkdtemp directory under /tmp, removed with everything in it.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    char tmpl[] = "/tmp/pamakv-micro-XXXXXX";
+    const char* made = ::mkdtemp(tmpl);
+    if (made == nullptr) throw std::runtime_error("mkdtemp failed");
+    path_ = made;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+std::string RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextU64());
+  return bytes;
+}
+
+// Every persistence and flash frame is checksummed on write and on read.
+void BM_Crc32(benchmark::State& state) {
+  const std::string data =
+      RandomBytes(static_cast<std::size_t>(state.range(0)), 7);
+  for (auto _ : state) {
+    std::uint32_t crc = util::Crc32(data);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(64 * 1024);
+
+// One store's WAL record: encode, frame + CRC, buffer (written to the fd
+// every 64 KiB), no fsync — what a set pays under the shard lock.
+void BM_WalAppendStore(benchmark::State& state) {
+  constexpr std::int64_t kAppendsPerFile = 16'384;  // ~17 MiB per file
+  const ScratchDir dir;
+  const std::string value = RandomBytes(1024, 11);
+  persist::WalStore rec;
+  rec.key = "user:0000012345";
+  rec.value = value;
+  rec.flags = 2'500;
+  rec.cas = 1;
+  std::uint64_t gen = 1;
+  auto wal = std::make_unique<persist::WalWriter>(dir.path(), 0);
+  wal->Open(gen, 1);
+  std::int64_t in_file = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wal->AppendStore(rec));
+    if (++in_file == kAppendsPerFile) {
+      state.PauseTiming();
+      wal.reset();
+      std::filesystem::remove(dir.path() + "/" + persist::WalFileName(0, gen));
+      wal = std::make_unique<persist::WalWriter>(dir.path(), 0);
+      wal->Open(++gen, 1);
+      in_file = 0;
+      state.ResumeTiming();
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(value.size()));
+}
+BENCHMARK(BM_WalAppendStore);
+
+// One 1 KiB flash frame read back and CRC-checked: Arg(0) is the inline
+// page-cache read a flash hit tries under the shard lock, Arg(1) the
+// IO-thread read (ReadNow on a dup'd ticket, as SubmitRead runs it).
+void BM_FlashRead(benchmark::State& state) {
+  const bool via_ticket = state.range(0) == 1;
+  const ScratchDir dir;
+  flash::FlashConfig cfg;
+  cfg.dir = dir.path();
+  cfg.io_thread = false;
+  flash::FlashTier tier(cfg);
+  const std::string key = "user:0000012345";
+  const std::string value = RandomBytes(1024, 13);
+  flash::FlashTier::DemoteMeta meta;
+  meta.key = key;
+  meta.value = value;
+  meta.flags = 2'500;
+  meta.cas = 1;
+  const KeyId id = 12345;
+  if (!tier.AppendItem(0, id, meta)) {
+    state.SkipWithError("demote failed");
+    return;
+  }
+  const flash::Slot slot = *tier.Find(0, id);
+  std::string payload;
+  for (auto _ : state) {
+    bool ok;
+    if (via_ticket) {
+      ok = tier.ReadNow(0, tier.MakeTicket(0, slot), &payload);
+    } else {
+      std::string_view view;
+      ok = tier.ReadCached(0, slot, &view);
+      benchmark::DoNotOptimize(view.data());
+    }
+    if (!ok) {
+      state.SkipWithError("flash read failed");
+      break;
+    }
+    benchmark::DoNotOptimize(payload.data());
+  }
+  state.SetLabel(via_ticket ? "ReadNow" : "ReadCached");
+}
+BENCHMARK(BM_FlashRead)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace pamakv

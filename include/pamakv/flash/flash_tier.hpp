@@ -21,10 +21,15 @@
 //    valuable first, while the shard stays within its cap; the rest drop
 //    with a tombstone and ghost-route through on_drop so the demand stays
 //    visible to the DRAM policy. The shard ends at or under its cap.
-//  * Reads: never on the data path. The service takes a ReadTicket (a
-//    dup'd fd, so GC unlinking the segment mid-read is safe) and the IO
-//    thread preads + CRC-verifies the frame, then posts the completion
-//    to the owner event loop.
+//  * Reads: a flash hit first tries ReadCached under the shard lock — a
+//    preadv2(RWF_NOWAIT) of the frame through the segment's own fd (GC
+//    cannot unlink the segment while the lock is held) into a per-shard
+//    buffer, then the CRC check. The lock is held for one frame's copy
+//    and CRC (about 1 ms for a 1 MiB value). A read that would block on
+//    the device, or fails in any way, is not judged there: the service
+//    takes a ReadTicket (a dup'd fd, so GC unlinking the segment mid-read
+//    is safe) and the IO thread preads + CRC-verifies the frame, then
+//    posts the completion to the owner event loop.
 //
 // Crash behavior: segments are never fsynced — this is a cache, not the
 // durability layer. Recovery replays each segment in log order and drops
@@ -101,7 +106,9 @@ struct Slot {
 struct ShardStats {
   std::uint64_t demotes = 0;          ///< records appended by AppendItem
   std::uint64_t append_failures = 0;  ///< io error / record too large
-  std::uint64_t reads = 0;            ///< tickets submitted or ReadNow
+  std::uint64_t reads = 0;            ///< served by ReadCached, tickets
+                                      ///< submitted, or ReadNow
+  std::uint64_t cached_reads = 0;     ///< served inline by ReadCached
   std::uint64_t read_failures = 0;    ///< io error or CRC mismatch
   std::uint64_t gc_runs = 0;
   std::uint64_t gc_rewrites = 0;      ///< live records carried forward
@@ -199,6 +206,14 @@ class FlashTier {
   [[nodiscard]] bool ReadNow(std::size_t shard, const ReadTicket& ticket,
                              std::string* payload);
 
+  /// Page-cache-only read of the slot's frame, under the shard lock: true
+  /// with *payload viewing the CRC-verified record (valid until the next
+  /// ReadCached on this shard), counted in reads and cached_reads. False
+  /// for any outcome that is not a whole, intact frame already in memory
+  /// — the caller then reads through a ticket; nothing is counted.
+  [[nodiscard]] bool ReadCached(std::size_t shard, const Slot& slot,
+                                std::string_view* payload);
+
   void StartIo();
   void StopIo();
 
@@ -283,6 +298,7 @@ class FlashTier {
     std::uint64_t next_seg = 0;
     std::uint64_t total_bytes = 0;
     bool in_gc = false;
+    std::vector<char> read_buf;  ///< ReadCached's frame (capacity reused)
   };
 
   Segment* SegmentById(ShardState& st, std::uint64_t id);

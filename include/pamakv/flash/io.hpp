@@ -10,11 +10,16 @@
 //   flash.append  pwrite of a frame into the open segment (short-io capable)
 //   flash.read    pread of a frame for a flash hit or GC rewrite
 //                 (short-io + sleep capable)
+//   flash.read_cached
+//                 the page-cache-only read a flash hit tries first, under
+//                 the shard lock (errno + short-io capable: EAGAIN, EIO and
+//                 short reads all send the op to the IO thread)
 #pragma once
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -77,6 +82,18 @@ inline ssize_t Pread(int fd, void* buf, std::size_t len, off_t off) {
   if (detail::Inject(fp, &len)) return -1;
 #endif
   return ::pread(fd, buf, len, off);
+}
+
+/// pread that never waits on the device: preadv2(RWF_NOWAIT) fails with
+/// EAGAIN when any of the bytes are not in the page cache (EOPNOTSUPP or
+/// EINVAL where the filesystem or kernel does not offer it).
+inline ssize_t PreadCached(int fd, void* buf, std::size_t len, off_t off) {
+#if PAMAKV_FAILPOINTS
+  static util::FailPoint& fp = util::FailPoints::Get("flash.read_cached");
+  if (detail::Inject(fp, &len)) return -1;
+#endif
+  iovec iov{buf, len};
+  return ::preadv2(fd, &iov, 1, off, RWF_NOWAIT);
 }
 
 }  // namespace pamakv::flash::io

@@ -288,8 +288,10 @@ class CacheService {
   /// clock once, runs the listed ops in request order (each writes its
   /// wire reply into its own buffer), and commits the WAL once. `idx`
   /// indexes into `batch`; every listed op must already be routed to this
-  /// shard. Returns how many ops finished. Fewer than `n` means op
-  /// `idx[result]` needs a flash record: `*park` is armed with its read,
+  /// shard. A flash-resident op whose record is in the page cache is read
+  /// and completed inline, under the same lock hold. Returns how many ops
+  /// finished. Fewer than `n` means op `idx[result]` needs a flash record
+  /// from the device: `*park` is armed with its read (ticket included),
   /// and the caller finishes the op with CompleteFlashOp before running
   /// the rest of the group.
   std::size_t ExecuteOps(std::size_t index, Batch& batch,
@@ -544,9 +546,18 @@ class CacheService {
   /// Pushes the slot's key into the ghost list of the (class, band) it
   /// was demoted from, when that pair still exists in this geometry.
   void GhostRoute(Shard& shard, KeyId id, const flash::Slot& slot);
-  /// Fills *pending with a scheduled read of the slot's record.
+  /// Fills *pending with a scheduled read of the slot's record (no fd
+  /// yet: TakeFlashTicket dups one only if the read leaves the lock).
   void ArmFlashRead(Shard& shard, KeyId id, const flash::Slot& slot,
                     FlashPending* pending);
+  /// Gives an armed read its ticket (a dup'd segment fd) for the IO thread.
+  void TakeFlashTicket(Shard& shard, FlashPending* pending);
+  /// An op ExecuteOps just parked: when its frame is in the page cache,
+  /// reads it here under the lock and completes the op in place (the
+  /// CompleteFlashOp sequence: promote, re-run, demotions) and returns
+  /// true. Otherwise takes the ticket and returns false — the op parks.
+  bool FinishCachedLocked(Shard& shard, Batch& batch, BatchOp& op,
+                          FlashPending* park, std::int64_t now);
   /// Demotes every queued eviction (admission-gated by the policy's
   /// incoming slab value), then runs tier GC if the shard is over its
   /// cap. Call after any engine call that can evict.

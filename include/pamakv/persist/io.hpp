@@ -2,8 +2,9 @@
 // seams (same discipline as net/syscall.hpp: direct inline forwards with
 // PAMAKV_FAILPOINTS off, a named failpoint consulted first with it on).
 //
-// Seams — the crash matrix schedules `kill@nth:N` at each, and the
-// degradation tests inject EIO/ENOSPC:
+// Seams — the crash matrix schedules `kill@nth:N` at each, the
+// degradation tests inject EIO/ENOSPC, and the stall test holds an
+// interval fsync in flight with `sleep:<ms>`:
 //
 //   persist.open      opening a WAL generation or snapshot tmp file
 //   persist.write     appending bytes (WAL + snapshot; short-io capable)
@@ -18,7 +19,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstddef>
+#include <thread>
 
 #include "pamakv/util/failpoint.hpp"
 
@@ -32,6 +35,9 @@ inline bool Inject(util::FailPoint& fp) {
   if (hit && hit->action == util::FailPointSpec::Action::kErrno) {
     errno = hit->err;
     return true;
+  }
+  if (hit && hit->action == util::FailPointSpec::Action::kSleep) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(hit->sleep_ms));
   }
   return false;
 }

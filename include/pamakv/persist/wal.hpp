@@ -9,7 +9,8 @@
 // Locking: Append* are called under the owning shard's lock (mutations
 // are already serialized there); Commit and the interval-fsync thread
 // run outside it. An internal mutex makes the writer itself safe for
-// that overlap — lock order is always shard.mu -> WalWriter::mu_.
+// that overlap — lock order is always shard.mu -> WalWriter::mu_. The
+// interval thread's fdatasync (Sync) runs outside that mutex too.
 //
 // Failure: any write/fsync error latches failed(); subsequent appends
 // no-op. The Persister reacts by disabling persistence process-wide
@@ -50,6 +51,11 @@ class WalWriter {
   /// Flushes buffered frames to the fd; fdatasyncs when `sync`. Cheap
   /// no-op when nothing is pending. False on I/O failure (latched).
   bool Commit(bool sync);
+
+  /// Commit(true) for the interval thread: flushes under the mutex, then
+  /// fdatasyncs a dup of the fd without it, so appends (made under the
+  /// shard lock) never wait for the disk. False on I/O failure (latched).
+  bool Sync();
 
   /// Snapshot boundary: commits + fsyncs the open generation, closes it,
   /// opens the next one. Returns the last sequence number the closed

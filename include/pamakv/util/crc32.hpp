@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
-// framing every persistence record. Table-driven, no dependencies; the
+// framing every persistence record. Slice-by-8 tables, no dependencies; the
 // same polynomial zlib/gzip use, so frames can be cross-checked with
 // standard tools while debugging a corrupt file.
 #pragma once

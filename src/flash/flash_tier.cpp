@@ -510,6 +510,27 @@ bool FlashTier::ReadNow(std::size_t shard, const ReadTicket& ticket,
   return ok;
 }
 
+bool FlashTier::ReadCached(std::size_t shard, const Slot& slot,
+                           std::string_view* payload) {
+  ShardState& st = shards_[shard];
+  const Segment* seg = SegmentById(st, slot.seg);
+  if (seg == nullptr || seg->fd < 0) return false;
+  st.read_buf.resize(slot.frame_len);
+  ssize_t n;
+  do {
+    n = io::PreadCached(seg->fd, st.read_buf.data(), slot.frame_len,
+                        static_cast<off_t>(slot.offset));
+  } while (n < 0 && errno == EINTR);
+  if (n != static_cast<ssize_t>(slot.frame_len)) return false;
+  persist::FrameScanner scanner(View(st.read_buf));
+  if (scanner.Next(payload) != persist::FrameScanner::Status::kFrame) {
+    return false;
+  }
+  ++st.stats.reads;
+  ++st.stats.cached_reads;
+  return true;
+}
+
 void FlashTier::CompleteRead(PendingRead&& pending) {
   std::string payload;
   const bool ok = pending.ticket.fd >= 0 &&

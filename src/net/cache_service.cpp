@@ -664,7 +664,9 @@ std::size_t CacheService::ExecuteOpsLocked(Shard& shard, Batch& batch,
       // completion orders).
       PAMAKV_FAILPOINT_INJECT("svc.batch");
       RunOpLocked(shard, op, now, park);
-      if (park->armed) return i;
+      if (park->armed && !FinishCachedLocked(shard, batch, op, park, now)) {
+        return i;
+      }
     } catch (const std::bad_alloc&) {
       FailOp(batch, op);
     }
@@ -1051,9 +1053,37 @@ void CacheService::ArmFlashRead(Shard& shard, KeyId id,
   pending->shard = shard.index;
   pending->id = id;
   pending->cas = slot.cas;
-  // A failed dup leaves fd = -1; the read then fails cleanly at
-  // completion and the slot is dropped there.
-  pending->ticket = flash_->MakeTicket(shard.index, slot);
+  pending->ticket = flash::ReadTicket{};  // see TakeFlashTicket
+}
+
+void CacheService::TakeFlashTicket(Shard& shard, FlashPending* pending) {
+  // A failed dup (or a vanished slot) leaves fd = -1; the read then fails
+  // cleanly at completion and the slot is dropped there.
+  if (const flash::Slot* slot = flash_->Find(shard.index, pending->id)) {
+    pending->ticket = flash_->MakeTicket(shard.index, *slot);
+  }
+}
+
+bool CacheService::FinishCachedLocked(Shard& shard, Batch& batch, BatchOp& op,
+                                      FlashPending* park, std::int64_t now) {
+  const flash::Slot* slot = flash_->Find(shard.index, park->id);
+  std::string_view payload;
+  if (slot == nullptr || !flash_->ReadCached(shard.index, *slot, &payload)) {
+    // Not in the page cache, or anything else went wrong: the IO thread
+    // reads the frame and judges the outcome.
+    TakeFlashTicket(shard, park);
+    return false;
+  }
+  // Read within the lock hold that armed it, so nothing raced it; the
+  // completion still revalidates, exactly as on the IO-thread path.
+  park->armed = false;
+  try {
+    FinishParkedLocked(shard, op, *park, /*read_ok=*/true, payload, now);
+  } catch (const std::bad_alloc&) {
+    FailOp(batch, op);
+  }
+  DrainDemotions(shard, now);
+  return true;
 }
 
 void CacheService::DrainDemotions(Shard& shard, std::int64_t now) {
@@ -1352,6 +1382,7 @@ CacheService::FlashOutcome CacheService::GetFlashAware(
     std::lock_guard<std::mutex> lock(shard.mu);
     *hit = GetLocked(shard, id, key, out, with_cas, touch, exptime_s, NowNs(),
                      pending);
+    if (pending->armed) TakeFlashTicket(shard, pending);
   }
   if (pending->armed) return FlashOutcome::kDeferred;
   if (touch && sink_ != nullptr) sink_->Commit(shard.index);
@@ -1462,6 +1493,7 @@ void CacheService::AppendStats(std::vector<char>& out, bool detail) const {
       fs.demotes += s.demotes;
       fs.append_failures += s.append_failures;
       fs.reads += s.reads;
+      fs.cached_reads += s.cached_reads;
       fs.read_failures += s.read_failures;
       fs.gc_runs += s.gc_runs;
       fs.gc_rewrites += s.gc_rewrites;
@@ -1484,6 +1516,7 @@ void CacheService::AppendStats(std::vector<char>& out, bool detail) const {
     AppendStat(out, "flash_demote_drops", drops);
     AppendStat(out, "flash_append_failures", fs.append_failures);
     AppendStat(out, "flash_reads", fs.reads);
+    AppendStat(out, "flash_cached_reads", fs.cached_reads);
     AppendStat(out, "flash_sync_read_failures", fs.read_failures);
     AppendStat(out, "flash_gc_runs", fs.gc_runs);
     AppendStat(out, "flash_gc_rewrites", fs.gc_rewrites);
@@ -1666,6 +1699,22 @@ void CacheService::RegisterMetrics(util::MetricsRegistry& registry) {
           });
         },
         "bytes of live (indexed) flash records");
+    registry.RegisterCallbackGauge(
+        "pamakv_flash_reads", "",
+        [sum_flash, this] {
+          return sum_flash([this](std::size_t i) {
+            return static_cast<double>(flash_->shard_stats(i).reads);
+          });
+        },
+        "flash record reads (inline page-cache serves included)");
+    registry.RegisterCallbackGauge(
+        "pamakv_flash_cached_reads", "",
+        [sum_flash, this] {
+          return sum_flash([this](std::size_t i) {
+            return static_cast<double>(flash_->shard_stats(i).cached_reads);
+          });
+        },
+        "flash reads served from the page cache under the shard lock");
     registry.RegisterCallbackGauge(
         "pamakv_flash_segments", "",
         [sum_flash, this] {

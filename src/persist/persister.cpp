@@ -131,7 +131,7 @@ void Persister::BgLoop() {
     lock.unlock();
     if (config_.fsync_mode == FsyncMode::kInterval && enabled()) {
       for (std::size_t i = 0; i < wals_.size(); ++i) {
-        wals_[i]->Commit(/*sync=*/true);
+        wals_[i]->Sync();
         CheckWal(i);
       }
     }

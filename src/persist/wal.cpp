@@ -129,6 +129,35 @@ bool WalWriter::Commit(bool sync) {
   return CommitLocked(sync);
 }
 
+bool WalWriter::Sync() {
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failed_) return false;
+    if (fd_ < 0) return true;
+    if (!FlushLocked()) return false;
+    if (!dirty_fd_) return true;
+    // A dup keeps the file open for the sync even if a failing append
+    // closes fd_ meanwhile. With no descriptor to spare, sync in place.
+    fd = ::dup(fd_);
+    if (fd < 0) return CommitLocked(true);
+    dirty_fd_ = false;  // bytes flushed from here on re-dirty it
+  }
+  const int rc = io::Fdatasync(fd);
+  const int err = errno;
+  ::close(fd);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (rc != 0) {
+    if (!failed_) {
+      errno = err;
+      FailLocked("fsync");
+    }
+    return false;
+  }
+  ++fsyncs_;
+  return true;
+}
+
 bool WalWriter::RollForSnapshot(std::uint64_t* covered_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   if (failed_ || fd_ < 0) return false;

@@ -13,16 +13,18 @@
 //    parse errors, noreply, an oversized store and a fatal framing error —
 //    at batch depth 1 and 64 against the transcript;
 //  * a 400-deep cross-shard pipeline, inline at depth 1 and 64 and on a
-//    flash-backed service whose DRAM holds a fraction of the keys, so most
-//    reads park on IO-thread reads (chaos builds skew group and read
-//    latencies with sleep failpoints) while the bytes must not move;
+//    flash-backed service whose DRAM holds a fraction of the keys, with
+//    the segment pages resident (reads served inline) and dropped (reads
+//    park on the IO thread; chaos builds skew group and read latencies
+//    with sleep failpoints) while the bytes must not move;
 //  * a seeded random property test: each stream at depth 1 and 64 against
 //    its transcript, plus per-shard EngineSnapshots and service counters
 //    compared between the two depths. Seeds are printed and replayable via
 //    PAMAKV_AFFINITY_SEED (a seed without a transcript compares the two
 //    depths only);
 //  * a live server with two loop threads and a flash tier serving get,
-//    gat, append and incr on demoted keys through batches.
+//    gat, append and incr on demoted keys through batches, and the same
+//    conversation served from the page cache inside Ingest.
 //
 // The in-process services run on paused FakeClocks (advanced only while
 // quiescent), so one clock read per group is observationally identical to
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "engine_snapshot.hpp"
+#include "flash_pages.hpp"
 #include "golden.hpp"
 #include "pamakv/flash/flash_tier.hpp"
 #include "pamakv/net/cache_service.hpp"
@@ -298,58 +301,96 @@ TEST(ShardAffinityTest, CrossShardPipelineKeepsRequestOrder) {
 
 // The same pipeline on a flash-backed service whose DRAM holds 8 of the
 // ~14 keys per shard: evictions demote, and reads, incrs and touches of
-// demoted keys park their shard group on an IO-thread read that posts back
-// to the connection's loop. Every demoted key is served from flash, so the
-// client cannot tell — the bytes must equal the all-DRAM transcript, in
-// order, however the reads and groups interleave.
+// demoted keys need their record. It runs twice. With the segment pages
+// resident, records are read inline under the shard lock. With them
+// dropped, each such op parks its shard group on an IO-thread read that
+// posts back to the connection's loop. Every demoted key is served from
+// flash, so the client cannot tell — the bytes must equal the all-DRAM
+// transcript, in order, however the reads and groups interleave.
 TEST(ShardAffinityTest, FlashBackedPipelineKeepsRequestOrder) {
   constexpr std::size_t kShards = 8;
-  TempDir dir;
-  util::FakeClock clock(1'000'000'000);
-  CacheServiceConfig cfg;
-  cfg.shards = kShards;
-  cfg.capacity_bytes = kShards * 2 * 64;  // two 64-byte slabs per shard
-  cfg.clock = &clock;
-  cfg.unix_now_s = 1'700'000'000;
-  SizeClassConfig geometry;
-  geometry.slab_bytes = 64;
-  geometry.num_classes = 3;
-  CacheService service(cfg, [geometry](Bytes bytes) {
-    return MakeEngine("memcached", bytes, geometry);
-  });
-  flash::FlashConfig fcfg;
-  fcfg.dir = dir.path();
-  fcfg.shards = kShards;
-  fcfg.segment_bytes = 64 * 1024;
-  fcfg.cap_bytes = 64ULL << 20;  // never collects: no demoted key is lost
-  flash::FlashTier tier(fcfg);
-  service.AttachFlash(&tier);
-  service.RecoverFlash();
-  tier.StartIo();
-
-#if PAMAKV_FAILPOINTS
-  // Skew group and read latencies so groups resume in adversarial orders.
-  ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
-  ASSERT_TRUE(util::FailPoints::Arm("flash.read", "sleep:2@p:0.3:7"));
-#endif
-  std::string got;
-  {
-    LoopThread home;
-    Harness conn(service, 64, &home.loop());
-    got = conn.Run(Pipeline400());
-  }
-#if PAMAKV_FAILPOINTS
-  util::FailPoints::DisableAll();
-#endif
-  tier.StopIo();
-
+  // Frames are demoted mid-pipeline, so the cold run drops the segment
+  // pages before every slice of it.
+  constexpr std::size_t kColdSlice = 256;
+  const std::string script = Pipeline400();
   const Golden golden("affinity_pipeline400.golden");
   const std::string& expect = golden.at("pipeline");
-  ASSERT_EQ(expect.size(), got.size());
-  EXPECT_EQ(expect, got) << "flash-parked responses re-ordered or corrupted";
-  const ServiceCounters counters = service.TotalCounters();
-  EXPECT_GT(counters.flash_promotes, 0u);
-  EXPECT_EQ(counters.flash_read_failures, 0u);
+  std::uint64_t cached_reads[2] = {0, 0};
+  std::uint64_t cold_reads[2] = {0, 0};
+  std::string fs_name;
+  for (const bool cold : {false, true}) {
+    SCOPED_TRACE(cold ? "pages dropped" : "pages resident");
+    TempDir dir;
+    fs_name = test::FilesystemOf(dir.path());
+    util::FakeClock clock(1'000'000'000);
+    CacheServiceConfig cfg;
+    cfg.shards = kShards;
+    cfg.capacity_bytes = kShards * 2 * 64;  // two 64-byte slabs per shard
+    cfg.clock = &clock;
+    cfg.unix_now_s = 1'700'000'000;
+    SizeClassConfig geometry;
+    geometry.slab_bytes = 64;
+    geometry.num_classes = 3;
+    CacheService service(cfg, [geometry](Bytes bytes) {
+      return MakeEngine("memcached", bytes, geometry);
+    });
+    flash::FlashConfig fcfg;
+    fcfg.dir = dir.path();
+    fcfg.shards = kShards;
+    fcfg.segment_bytes = 64 * 1024;
+    fcfg.cap_bytes = 64ULL << 20;  // never collects: no demoted key is lost
+    flash::FlashTier tier(fcfg);
+    service.AttachFlash(&tier);
+    service.RecoverFlash();
+    tier.StartIo();
+
+#if PAMAKV_FAILPOINTS
+    // Skew group and read latencies so groups resume in adversarial orders.
+    ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
+    ASSERT_TRUE(util::FailPoints::Arm("flash.read", "sleep:2@p:0.3:7"));
+#endif
+    std::string got;
+    {
+      LoopThread home;
+      Harness conn(service, 64, &home.loop());
+      if (cold) {
+        for (std::size_t at = 0; at < script.size(); at += kColdSlice) {
+          test::ForceColdFlashReads(dir.path());
+          conn.Feed(std::string_view(script).substr(at, kColdSlice));
+        }
+        got = conn.TakeOutput();
+      } else {
+        got = conn.Run(script);
+      }
+    }
+#if PAMAKV_FAILPOINTS
+    util::FailPoints::DisableAll();
+#endif
+    tier.StopIo();
+
+    ASSERT_EQ(expect.size(), got.size());
+    EXPECT_EQ(expect, got) << "flash-served responses re-ordered or corrupted";
+    const ServiceCounters counters = service.TotalCounters();
+    EXPECT_GT(counters.flash_promotes, 0u);
+    EXPECT_EQ(counters.flash_read_failures, 0u);
+    cached_reads[cold] = test::CachedReads(tier);
+    cold_reads[cold] = test::ColdReads(tier);
+  }
+  std::printf("flash reads: resident run %llu inline / %llu parked, "
+              "dropped run %llu inline / %llu parked\n",
+              static_cast<unsigned long long>(cached_reads[0]),
+              static_cast<unsigned long long>(cold_reads[0]),
+              static_cast<unsigned long long>(cached_reads[1]),
+              static_cast<unsigned long long>(cold_reads[1]));
+  if (cached_reads[0] == 0) {
+    GTEST_SKIP() << "no flash read was served from the page cache on "
+                 << fs_name;
+  }
+  if (cold_reads[1] == 0) {
+    GTEST_SKIP() << "dropped segment pages stayed readable from the page "
+                    "cache on "
+                 << fs_name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -610,6 +651,59 @@ TEST(ShardAffinityTest, FlashBatchesServeDemotedKeysOverTheWire) {
   const ServiceCounters counters = service.TotalCounters();
   EXPECT_GT(counters.flash_promotes, 0u);
   EXPECT_EQ(counters.flash_read_failures, 0u);
+}
+
+// The same conversation through a Connection whose home loop never runs,
+// on a tier with an IO thread: a record in the page cache is read under
+// the shard lock, so every get, gat, append and incr on a demoted key
+// completes inside Ingest — nothing parks, nothing is posted.
+TEST(ShardAffinityTest, PageCacheFlashReadsCompleteInsideIngest) {
+  TempDir dir;
+  CacheServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.capacity_bytes = 2 * 4 * 1024;  // four 1 KiB slabs per shard
+  SizeClassConfig geometry;
+  geometry.slab_bytes = 1024;
+  geometry.num_classes = 7;
+  CacheService service(cfg, [geometry](Bytes bytes) {
+    return MakeEngine("memcached", bytes, geometry);
+  });
+  flash::FlashConfig fcfg;
+  fcfg.dir = dir.path();
+  fcfg.shards = cfg.shards;
+  fcfg.cap_bytes = 64ULL << 20;
+  flash::FlashTier tier(fcfg);
+  service.AttachFlash(&tier);
+  service.RecoverFlash();
+  tier.StartIo();
+
+  const Golden golden("flash_wire.golden");
+  const std::vector<std::string> phases = FlashWirePhases();
+  {
+    EventLoop home;
+    Connection conn(service);
+    conn.set_executor(nullptr, 64, &home, [] {});
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+      SCOPED_TRACE("phase " + std::to_string(p));
+      conn.Ingest(phases[p].data(), phases[p].size());
+      ASSERT_FALSE(conn.batch_in_flight()) << "an op parked on a flash read";
+      const std::string got(conn.pending_output());
+      conn.ConsumeOutput(got.size());
+      EXPECT_EQ(got, golden.at("phase" + std::to_string(p)));
+    }
+  }
+  tier.StopIo();
+  const ServiceCounters counters = service.TotalCounters();
+  EXPECT_GT(counters.flash_promotes, 0u);
+  EXPECT_EQ(counters.flash_read_failures, 0u);
+  EXPECT_GT(test::CachedReads(tier), 0u);
+  EXPECT_EQ(test::ColdReads(tier), 0u);
+  std::vector<char> stats;
+  service.AppendStats(stats);
+  const std::string expect_line =
+      "STAT flash_cached_reads " + std::to_string(test::CachedReads(tier));
+  EXPECT_NE(std::string(stats.data(), stats.size()).find(expect_line),
+            std::string::npos);
 }
 
 #if PAMAKV_FAILPOINTS

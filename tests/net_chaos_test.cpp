@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -412,8 +413,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,
 // A second storm with the flash victim tier attached, on the same batched
 // path. DRAM is sized well below the working set, so the workers' stores
 // continuously evict and demote under armed flash.open/flash.append/
-// flash.read faults; gets on demoted keys park their shard group on the
-// read and promote through real connections. After the storm
+// flash.read/flash.read_cached faults; gets on demoted keys are read
+// inline or park their shard group on the IO-thread read, and promote
+// through real connections. After the storm
 // calms, the tier must reconcile exactly: per-shard byte/segment
 // accounting equals what is actually on disk (every EIO'd or torn append
 // accounted), and per-band demote counters sum to the demote total.
@@ -459,7 +461,7 @@ std::uint32_t FlashPenaltyFor(const std::string& key) {
 }
 
 void FlashChaosWorker(int wid, std::uint64_t seed, std::uint16_t port,
-                      WorkerResult& out) {
+                      int ops, WorkerResult& out) {
   Rng rng(Mix64(seed ^ 0xF1A5ULL) ^ static_cast<std::uint64_t>(wid));
   BlockingClient client;
 
@@ -481,15 +483,17 @@ void FlashChaosWorker(int wid, std::uint64_t seed, std::uint16_t port,
     return;
   }
 
-  for (int i = 0; i < kOpsPerWorker; ++i) {
+  for (int i = 0; i < ops; ++i) {
     const std::string key = "f:" + std::to_string(rng.NextBounded(kFlashKeySpace));
     const std::string expect = FlashValueFor(key);
     try {
       const std::uint64_t dice = rng.NextBounded(100);
       if (dice < 50) {
         // Roughly half the keyspace is flash-resident at any moment, so
-        // this is the deferred-read promote path under fire; an injected
-        // read EIO must surface as a clean miss, never a mangled reply.
+        // this is the flash-read promote path under fire: a failed
+        // page-cache read must fall back to the IO thread, and an injected
+        // read EIO there must surface as a clean miss, never a mangled
+        // reply.
         std::string value;
         if (client.Get(key, value) && value != expect) {
           out.fatal.push_back("worker " + std::to_string(wid) +
@@ -610,13 +614,23 @@ TEST_P(FlashChaosTest, SurvivesSeededFaultStormWithFlashTier) {
     ASSERT_TRUE(util::FailPoints::Arm(
         "svc.store_bytes", ProbSpec("oom", 0.02, rng)));
 
+    // The storm runs in three rounds, each failing the inline page-cache
+    // read a different way: would-block, an I/O error and a short read.
+    // Every one must send the op to the IO thread, which alone judges it.
+    constexpr const char* kCachedReadFaults[] = {"EAGAIN", "EIO", "short:9"};
+    constexpr int kRounds = static_cast<int>(std::size(kCachedReadFaults));
     std::vector<WorkerResult> results(kWorkers);
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kWorkers; ++w) {
-      workers.emplace_back(FlashChaosWorker, w, seed, server.port(),
-                           std::ref(results[w]));
+    for (int round = 0; round < kRounds; ++round) {
+      ASSERT_TRUE(util::FailPoints::Arm(
+          "flash.read_cached", ProbSpec(kCachedReadFaults[round], 0.3, rng)));
+      std::vector<std::thread> workers;
+      for (int w = 0; w < kWorkers; ++w) {
+        workers.emplace_back(FlashChaosWorker, w + round * kWorkers, seed,
+                             server.port(), kOpsPerWorker / kRounds,
+                             std::ref(results[w]));
+      }
+      for (auto& t : workers) t.join();
     }
-    for (auto& t : workers) t.join();
 
     std::uint64_t ops = 0, ooms = 0, reconnects = 0;
     for (const auto& r : results) {
@@ -641,6 +655,7 @@ TEST_P(FlashChaosTest, SurvivesSeededFaultStormWithFlashTier) {
     EXPECT_GT(util::FailPoints::Trips("flash.append") +
                   util::FailPoints::Trips("flash.read"),
               0u);
+    EXPECT_GT(util::FailPoints::Trips("flash.read_cached"), 0u);
 
     // Calm the weather; a fresh client must see a flawless protocol,
     // including gets that promote from flash with no faults armed.
