@@ -3,7 +3,7 @@
 // The paper's third design challenge is making segment-membership tests
 // O(1); its answer is per-segment Bloom filters plus a removal filter.
 // This ablation quantifies what the approximation costs: end metrics of
-// "pama" (Bloom) vs "pama-exact" (order-statistic ranks) across Bloom
+// "pama" (Bloom) vs "pama-exact" (exact stack ranks) across Bloom
 // false-positive-rate targets, plus the filters' memory footprint.
 #include "bench_common.hpp"
 

@@ -19,9 +19,10 @@
 // in-process server per (loop-threads, shards) combination on an
 // ephemeral port — still real sockets — and sweeps the connection list
 // against each, emitting the connections × loop-threads × shards matrix
-// into BENCH_server.json. --pipeline=N drives N-deep pipelined GET
-// rounds per connection so the shard-affine batching path (DESIGN.md
-// §12) actually sees multi-op batches.
+// into BENCH_server.json; each spawned server also serves its metrics on
+// an ephemeral port, scraped for the server_p* columns. --pipeline=N
+// drives N-deep pipelined GET rounds per connection so the shard-affine
+// batching path (DESIGN.md §12) actually sees multi-op batches.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -46,6 +47,7 @@
 
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/client.hpp"
+#include "pamakv/net/metrics_http.hpp"
 #include "pamakv/net/server.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/util/types.hpp"
@@ -671,7 +673,7 @@ int Main(int argc, char** argv) {
                 "matrix mode: comma list of shard counts (default 4)")
       .Describe("batch-depth",
                 "matrix mode: staged batch depth for spawned servers "
-                "(default 64; 0 = serial per-command path)")
+                "(default 64; 0 counts as 1)")
       .Describe("capacity-mb",
                 "matrix mode: spawned server cache capacity (default 256)");
   if (args.HelpRequested()) {
@@ -806,7 +808,9 @@ int Main(int argc, char** argv) {
   if (args.Has("loop-threads")) {
     // Matrix mode: one fresh in-process server (and cache) per
     // (loop-threads, shards) combination so the phases are comparable —
-    // still real sockets, on an ephemeral loopback port.
+    // still real sockets, on an ephemeral loopback port. Each server gets
+    // its own metrics registry and endpoint (also ephemeral), which the
+    // sweep scrapes for the server-side quantiles.
     const auto loops_list = ParseConnectionsList(args.GetString(
         "loop-threads", "1"));
     const auto shards_list =
@@ -827,9 +831,16 @@ int Main(int argc, char** argv) {
         server_cfg.port = 0;  // ephemeral
         server_cfg.threads = loops;
         server_cfg.batch_depth = depth;
+        util::MetricsRegistry registry;
+        service.RegisterMetrics(registry);
         net::Server server(server_cfg, service);
+        server.EnableMetrics(registry);
+        net::MetricsHttpServer metrics_http(net::MetricsHttpConfig{}, registry);
         server.Start();
-        sweep("127.0.0.1", server.port(), 0, loops, nshards, depth);
+        metrics_http.Start();
+        sweep("127.0.0.1", server.port(), metrics_http.port(), loops, nshards,
+              depth);
+        metrics_http.Stop();
         if (!server.Shutdown(std::chrono::milliseconds(10'000))) {
           throw std::runtime_error("matrix server failed to shut down");
         }

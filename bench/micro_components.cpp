@@ -1,15 +1,18 @@
 // Microbenchmarks (google-benchmark) for the per-request building blocks:
-// order-statistic LRU stack, ghost list, Bloom filters, hash index, Zipf
-// sampling, and the full engine GET/SET path. These bound the simulator's
-// cost per operation and document the O(log n) / O(1) claims. The durable
-// byte path has one bench per layer: the frame CRC, a WAL store append,
-// and a flash frame read (inline from the page cache against ReadNow).
+// LRU stack (bare list and with its rank index on), ghost list, Bloom
+// filters, hash index, Zipf sampling, the full engine GET/SET path, and a
+// pipelined round of GETs through the service under its shard locks. These
+// bound the simulator's cost per operation and document the O(log n) /
+// O(1) claims. The durable byte path has one bench per layer: the frame
+// CRC, a WAL store append, and a flash frame read (inline from the page
+// cache against ReadNow). BENCH_layers.json holds the run of
 //
-//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead'
+//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead|LruStack|EngineGetSet|ServiceGetBatch'
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -18,9 +21,12 @@
 
 #include "pamakv/bloom/bloom_filter.hpp"
 #include "pamakv/cache/hash_index.hpp"
+#include "pamakv/cache/string_keys.hpp"
 #include "pamakv/ds/ghost_list.hpp"
 #include "pamakv/ds/lru_stack.hpp"
 #include "pamakv/flash/flash_tier.hpp"
+#include "pamakv/net/batch.hpp"
+#include "pamakv/net/cache_service.hpp"
 #include "pamakv/persist/format.hpp"
 #include "pamakv/persist/wal.hpp"
 #include "pamakv/sim/experiment.hpp"
@@ -32,19 +38,25 @@
 namespace pamakv {
 namespace {
 
-void BM_LruStackPushErase(benchmark::State& state) {
+// One LRU touch. A second argument of 1 turns the stack's rank index on
+// first (one rank query): what each touch costs under exact attribution.
+void BM_LruStackMoveToTop(benchmark::State& state) {
   LruStack stack;
   std::vector<LruStack::Node*> nodes;
   const auto n = static_cast<std::size_t>(state.range(0));
+  const bool ranked = state.range(1) == 1;
   for (ItemHandle i = 0; i < n; ++i) nodes.push_back(stack.PushTop(i));
+  if (ranked) benchmark::DoNotOptimize(stack.RankFromBottom(nodes[0]));
   Rng rng(1);
   for (auto _ : state) {
     const std::size_t i = rng.NextBounded(nodes.size());
     stack.MoveToTop(nodes[i]);
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(ranked ? "ranked" : "list");
 }
-BENCHMARK(BM_LruStackPushErase)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
+BENCHMARK(BM_LruStackMoveToTop)
+    ->ArgsProduct({{1'000, 100'000, 1'000'000}, {0, 1}});
 
 void BM_LruStackRank(benchmark::State& state) {
   LruStack stack;
@@ -110,8 +122,11 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample);
 
+// One ETC request through the engine: Arg 0 = memcached, 1 = pama (Bloom
+// attribution, no rank queries), 2 = pama-exact (a rank query per hit).
 void BM_EngineGetSet(benchmark::State& state) {
-  const std::string scheme = state.range(0) == 0 ? "memcached" : "pama";
+  const char* const kSchemes[] = {"memcached", "pama", "pama-exact"};
+  const std::string scheme = kSchemes[state.range(0)];
   auto engine = MakeEngine(scheme, 64ULL * 1024 * 1024, SizeClassConfig{});
   auto cfg = EtcWorkload(1'000'000);
   SyntheticTrace trace(cfg);
@@ -133,7 +148,72 @@ void BM_EngineGetSet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(scheme);
 }
-BENCHMARK(BM_EngineGetSet)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineGetSet)->Arg(0)->Arg(1)->Arg(2);
+
+// The service op under the shard lock: a pipelined round of 32 GETs,
+// staged and grouped by shard the way ShardExecutor::Execute does it, each
+// group run by one CacheService::ExecuteOps call (lock, clock read, engine
+// hit, reply bytes). The population is hot-pipelined's: 200k keys with
+// 16-143 B values and log-uniform penalties, 4 shards, 64 MiB, Zipf(0.99)
+// popularity, so every GET hits. Items are GETs.
+void BM_ServiceGetBatch(benchmark::State& state) {
+  constexpr std::uint64_t kKeys = 200'000;
+  constexpr std::size_t kDepth = 32;
+  net::CacheServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.capacity_bytes = 64ULL << 20;
+  net::CacheService service(cfg, [](Bytes bytes) {
+    return MakeEngine("pama", bytes, SizeClassConfig{});
+  });
+  std::vector<std::string> names(kKeys);
+  std::string value;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    names[k] = "h:" + std::to_string(k);
+    value.assign(16 + Mix64(k ^ 0x6b6579ULL) % 128, 'v');
+    const double unit =
+        static_cast<double>(Mix64(k ^ 0x9e3779b97f4a7c15ULL) >> 11) /
+        9007199254740992.0;
+    const auto penalty_us =
+        static_cast<std::uint32_t>(500.0 * std::pow(9210.0, unit));
+    service.Store(net::StoreVerb::kSet, names[k], penalty_us, 0, value);
+  }
+  // Key draws are made up front so the loop times the service only.
+  const ZipfSampler zipf(kKeys, 0.99);
+  Rng rng(8);
+  std::vector<std::uint32_t> draws(1 << 16);
+  for (auto& d : draws) {
+    d = static_cast<std::uint32_t>(zipf.Sample(rng) % kKeys);
+  }
+
+  net::Batch batch;
+  std::vector<std::vector<std::uint32_t>> groups(cfg.shards);
+  net::CacheService::FlashPending park;
+  std::size_t next = 0;
+  std::uint64_t misses = 0;
+  for (auto _ : state) {
+    batch.Reset();
+    for (auto& g : groups) g.clear();
+    for (std::uint32_t i = 0; i < kDepth; ++i) {
+      net::BatchOp& op = batch.Push();
+      op.key.assign(names[draws[next++ & (draws.size() - 1)]]);
+      op.append_end = true;
+      op.id = HashStringKey(op.key);
+      op.shard = static_cast<std::uint32_t>(service.ShardIndexForId(op.id));
+      groups[op.shard].push_back(i);
+    }
+    for (std::uint32_t s = 0; s < groups.size(); ++s) {
+      if (groups[s].empty()) continue;
+      service.ExecuteOps(s, batch, groups[s].data(), groups[s].size(), &park);
+    }
+    for (std::uint32_t i = 0; i < kDepth; ++i) {
+      misses += batch.op(i).out.size() == 5;  // a bare "END\r\n"
+    }
+  }
+  if (misses != 0) state.SkipWithError("a GET missed");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDepth));
+}
+BENCHMARK(BM_ServiceGetBatch);
 
 /// A mkdtemp directory under /tmp, removed with everything in it.
 class ScratchDir {

@@ -52,7 +52,8 @@ struct EngineConfig {
   /// Ghost list length per subclass, in units of that class's slots-per-
   /// slab. PAMA with m reference segments needs at least m + 1.
   std::uint32_t ghost_segments = 4;
-  /// Seed for the engine's internal randomized structures.
+  /// Unused: the engine has no randomized structure left (its LRU stacks
+  /// are lists). Kept because existing callers still assign it.
   std::uint64_t seed = 42;
 };
 

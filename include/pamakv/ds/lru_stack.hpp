@@ -1,15 +1,30 @@
-// LruStack: an LRU stack with O(log n) exact rank queries.
+// LruStack: an LRU stack with O(1) updates and exact ranks on demand.
 //
 // PAMA needs to know, on every hit, whether the touched item lies in one of
 // the bottom (m+1) segments of its subclass stack and in which segment
-// (paper Sec. III). A plain doubly-linked LRU list cannot answer positional
-// queries, so the stack is a randomized order-statistic treap ordered by
-// recency: in-order position 0 is the MRU top, position size()-1 is the LRU
-// bottom. Subtree sizes give rank-of-node and k-th-node in O(log n).
+// (paper Sec. III). The paper's Bloom mode answers that without a rank, so
+// the stack itself is an intrusive doubly-linked list: PushTop, MoveToTop,
+// Erase, Bottom and TowardTop are O(1) pointer updates.
 //
-// This exact-rank structure serves three roles:
+// Exact ranks come from a per-node access stamp. A node takes the next
+// stamp whenever it reaches the top, so stamps strictly increase from the
+// LRU bottom to the MRU top, and a node's rank is the number of live stamps
+// below (or above) its own. A bitmap of stamp positions with a Fenwick tree
+// over its words counts them in O(log n), the technique GhostList uses for
+// ghost ranks. Only stacks that are asked for a rank pay for it: the first
+// RankFromTop or RankFromBottom call builds the index, and every later
+// update maintains it. Stacks that are never queried (Bloom-mode PAMA,
+// Memcached, PSA, Twemcache, Facebook-age) stay a bare list.
+//
+// With the index on, every stamp is a position in the index's span. When
+// the next stamp would run past the span, the nodes are renumbered
+// bottom-up to 0..size-1 in place; the span is kept at least twice the
+// size, so this is amortized O(1). Only PushTop grows the span, so
+// MoveToTop and Erase never allocate.
+//
+// This structure serves three roles:
 //  * ground truth for the Bloom-filter approximation (ablation + tests),
-//  * the eviction order for every policy (bottom() is the LRU victim),
+//  * the eviction order for every policy (Bottom() is the LRU victim),
 //  * per-window rebuild scans for the Bloom mode (bottom-up iteration).
 //
 // Nodes are pool-allocated and pointer-stable; each cache item stores its
@@ -21,7 +36,7 @@
 #include <deque>
 #include <vector>
 
-#include "pamakv/util/rng.hpp"
+#include "pamakv/util/fenwick.hpp"
 #include "pamakv/util/types.hpp"
 
 namespace pamakv {
@@ -29,23 +44,20 @@ namespace pamakv {
 class LruStack {
  public:
   struct Node {
-    Node* left = nullptr;
-    Node* right = nullptr;
-    Node* parent = nullptr;
-    std::size_t subtree_size = 1;
-    std::uint64_t priority = 0;
+    Node* up = nullptr;       ///< toward the top; nullptr at the top
+    Node* down = nullptr;     ///< toward the bottom; nullptr at the bottom
+    std::uint64_t stamp = 0;  ///< strictly increasing from bottom to top
     ItemHandle value = kInvalidHandle;
   };
 
-  /// seed: deterministic priority stream (experiments are reproducible).
-  explicit LruStack(std::uint64_t seed = 1) noexcept : rng_(seed) {}
-
+  LruStack() = default;
   LruStack(const LruStack&) = delete;
   LruStack& operator=(const LruStack&) = delete;
   LruStack(LruStack&&) = default;
   LruStack& operator=(LruStack&&) = default;
 
-  /// Pushes a new item at the MRU top. Returns its stable node.
+  /// Pushes a new item at the MRU top. Returns its stable node. On a throw
+  /// (node pool or rank-index growth) the stack is unchanged.
   Node* PushTop(ItemHandle value);
 
   /// Removes the node from the stack and recycles it.
@@ -55,56 +67,71 @@ class LruStack {
   /// The node pointer remains valid.
   void MoveToTop(Node* node) noexcept;
 
-  /// 0-based distance from the MRU top.
-  [[nodiscard]] std::size_t RankFromTop(const Node* node) const noexcept;
+  /// 0-based distance from the MRU top. The first rank query on a stack
+  /// builds its rank index in O(size); a throw there leaves the stack
+  /// unchanged. Later queries are O(log size) and never allocate. Not safe
+  /// to call concurrently with any other use of the same stack.
+  [[nodiscard]] std::size_t RankFromTop(const Node* node) const {
+    return size_ - 1 - RankFromBottom(node);
+  }
 
   /// 0-based distance from the LRU bottom (0 == next eviction victim).
-  [[nodiscard]] std::size_t RankFromBottom(const Node* node) const noexcept {
-    return size_ - 1 - RankFromTop(node);
-  }
-
-  /// k-th node counting from the LRU bottom (k == 0 is the bottom).
-  /// Returns nullptr when k >= size().
-  [[nodiscard]] Node* KthFromBottom(std::size_t k) const noexcept;
+  [[nodiscard]] std::size_t RankFromBottom(const Node* node) const;
 
   /// The LRU victim, or nullptr when empty.
-  [[nodiscard]] Node* Bottom() const noexcept {
-    return size_ ? KthFromBottom(0) : nullptr;
-  }
+  [[nodiscard]] Node* Bottom() const noexcept { return bottom_; }
 
   /// Neighbour one position closer to the top (nullptr at the top).
-  [[nodiscard]] static Node* TowardTop(Node* node) noexcept;
+  [[nodiscard]] static Node* TowardTop(Node* node) noexcept { return node->up; }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  /// Invariant checker used by tests: heap order on priorities, correct
-  /// subtree sizes and parent pointers. O(n).
+  /// Invariant checker used by tests: consistent links and size, stamps
+  /// strictly increasing from bottom to top, and (once built) a rank index
+  /// that counts exactly the live stamps. O(n log n).
   [[nodiscard]] bool CheckInvariants() const noexcept;
 
  private:
-  [[nodiscard]] static std::size_t SizeOf(const Node* n) noexcept {
-    return n ? n->subtree_size : 0;
-  }
-  static void Update(Node* n) noexcept {
-    n->subtree_size = 1 + SizeOf(n->left) + SizeOf(n->right);
-  }
-  /// Rotates `n` above its parent, preserving in-order sequence.
-  void RotateUp(Node* n) noexcept;
-  /// Detaches a node from the tree without recycling it.
+  /// Which stamp positions hold a node: one bit per position, plus a
+  /// Fenwick tree over the count of set bits in each 64-bit word, so the
+  /// tree is 64x smaller than the span and stays cache-resident.
+  struct RankIndex {
+    std::vector<std::uint64_t> bits;
+    FenwickTree word_counts;
+
+    RankIndex() = default;
+    explicit RankIndex(std::size_t words)
+        : bits(words, 0), word_counts(words) {}
+    [[nodiscard]] std::size_t span() const noexcept { return bits.size() * 64; }
+    void Set(std::uint64_t stamp) noexcept;
+    void Clear(std::uint64_t stamp) noexcept;
+    /// Positions below `stamp` that hold a node.
+    [[nodiscard]] std::size_t CountBelow(std::uint64_t stamp) const noexcept;
+    /// Marks exactly positions [0, count).
+    void Fill(std::size_t count) noexcept;
+  };
+
+  [[nodiscard]] bool Ranked() const noexcept { return !ranks_.bits.empty(); }
   void Unlink(Node* node) noexcept;
-  /// Inserts an existing (detached) node at the top position.
   void LinkTop(Node* node) noexcept;
+  /// Gives the (linked) top node the next stamp, renumbering first when the
+  /// stamps have run past the index span.
+  void StampTop(Node* node) noexcept;
+  /// Restamps the nodes 0..size-1 from the bottom up and refills the index
+  /// with exactly those positions. Logically const: LRU order does not
+  /// change.
+  void Renumber() const noexcept;
 
-  Node* AllocateNode(ItemHandle value);
-  void RecycleNode(Node* node) noexcept;
-  [[nodiscard]] bool CheckSubtree(const Node* n, const Node* parent) const noexcept;
-
-  Node* root_ = nullptr;
+  Node* top_ = nullptr;
+  Node* bottom_ = nullptr;
   std::size_t size_ = 0;
+  /// Recycled nodes, chained through Node::down.
+  Node* free_ = nullptr;
   std::deque<Node> pool_;
-  std::vector<Node*> free_nodes_;
-  Rng rng_;
+  // Built by the first rank query; empty until then.
+  mutable RankIndex ranks_;
+  mutable std::uint64_t next_stamp_ = 0;
 };
 
 }  // namespace pamakv

@@ -1,7 +1,8 @@
 // LAMA-style allocator (Hu et al., USENIX ATC'15 — the paper's related work
 // [9]), provided as an extension comparator. It builds per-class miss-ratio
-// curves from exact LRU stack depths (our order-statistic stacks make the
-// Mattson histogram free) and periodically solves for the slab partition
+// curves from exact LRU stack depths (each hit's rank comes from the rank
+// index its stack builds on the first query, so the Mattson histogram costs
+// O(log n) per hit) and periodically solves for the slab partition
 // that maximizes either total hits (LAMA-HR) or total avoided miss penalty
 // approximated with per-depth penalty mass (LAMA-ST) via dynamic
 // programming at a configurable slab granularity. Slabs then drift toward

@@ -11,8 +11,9 @@
 // replace within) or the winner is the requester itself (evict one item).
 //
 // Two segment-attribution modes are provided:
-//  * exact  — O(log n) stack ranks from the order-statistic LRU stacks
-//             (ground truth; also what the tests verify against),
+//  * exact  — exact stack ranks, O(log n) per hit from the rank index an
+//             LRU stack builds on its first rank query (ground truth;
+//             also what the tests verify against),
 //  * bloom  — the paper's O(1) mechanism: per-segment Bloom filters plus a
 //             removal filter, rebuilt at window boundaries.
 //

@@ -41,6 +41,7 @@ struct SchemeOptions {
   /// five bands.
   std::vector<MicroSecs> pama_bands;
   MicroSecs hit_time_us = 0;
+  /// Seeds Twemcache's random slab reassignment.
   std::uint64_t engine_seed = 42;
 };
 

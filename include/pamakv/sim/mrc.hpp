@@ -1,12 +1,13 @@
 // MattsonProfiler: exact miss-ratio curves in one pass.
 //
-// Feeds every GET of a trace through an order-statistic LRU stack and
-// histograms the exact reuse depths (Mattson's classic single-pass method,
-// O(log n) per access here). The resulting curve answers "what would the
-// miss ratio / total miss penalty be at ANY cache size" for a pure-LRU
-// cache — the analysis backbone of the related-work LAMA scheme [9], and a
-// useful workload-characterization tool on its own (examples/mrc_explorer,
-// tools for sizing caches before running full simulations).
+// Feeds every GET of a trace through an LRU stack with its rank index on
+// and histograms the exact reuse depths (Mattson's classic single-pass
+// method, O(log n) per access here). The resulting curve answers "what
+// would the miss ratio / total miss penalty be at ANY cache size" for a
+// pure-LRU cache — the analysis backbone of the related-work LAMA scheme
+// [9], and a useful workload-characterization tool on its own
+// (examples/mrc_explorer, tools for sizing caches before running full
+// simulations).
 //
 // Two curves are tracked: by request count (miss *ratio*) and by penalty
 // mass (miss *cost*), since the paper's whole point is that the two

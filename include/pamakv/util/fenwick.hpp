@@ -1,7 +1,7 @@
 // Fenwick (binary indexed) tree over a fixed-size array of signed counts.
 // Used by GhostList to answer "how many live entries sit between two ring
 // positions" in O(log n), which turns eviction-order sequence numbers into
-// exact ghost-stack ranks.
+// exact ghost-stack ranks, and by LruStack the same way over access stamps.
 #pragma once
 
 #include <cassert>
@@ -46,6 +46,17 @@ class FenwickTree {
   [[nodiscard]] std::int64_t Total() const { return PrefixSum(size()); }
 
   void Reset() { tree_.assign(tree_.size(), 0); }
+
+  /// Replaces every position's value with value_at(i), in O(size) and
+  /// without allocating.
+  template <typename ValueAt>
+  void Assign(ValueAt value_at) noexcept {
+    for (std::size_t p = 1; p < tree_.size(); ++p) tree_[p] = value_at(p - 1);
+    for (std::size_t p = 1; p < tree_.size(); ++p) {
+      const std::size_t parent = p + (p & (~p + 1));
+      if (parent < tree_.size()) tree_[parent] += tree_[p];
+    }
+  }
 
  private:
   std::vector<std::int64_t> tree_;

@@ -11,15 +11,6 @@ namespace pamakv {
 
 namespace {
 
-std::vector<LruStack> MakeStacks(std::size_t count, std::uint64_t seed) {
-  std::vector<LruStack> stacks;
-  stacks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    stacks.emplace_back(Mix64(seed + i));
-  }
-  return stacks;
-}
-
 std::vector<GhostList> MakeGhosts(const SizeClassTable& classes,
                                   std::uint32_t bands,
                                   std::uint32_t ghost_segments) {
@@ -42,9 +33,8 @@ CacheEngine::CacheEngine(const EngineConfig& config,
     : classes_(config.size_classes),
       bands_(config.penalty_band_bounds),
       pool_(config.capacity_bytes, classes_, bands_.num_bands()),
-      stacks_(MakeStacks(
-          static_cast<std::size_t>(classes_.num_classes()) * bands_.num_bands(),
-          config.seed)),
+      stacks_(static_cast<std::size_t>(classes_.num_classes()) *
+              bands_.num_bands()),
       ghosts_(MakeGhosts(classes_, bands_.num_bands(), config.ghost_segments)),
       ghost_hits_by_stack_(stacks_.size(), 0),
       policy_(std::move(policy)),
@@ -194,8 +184,9 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
   try {
     item.node = StackOf(cls, sub).PushTop(h);
   } catch (...) {
-    // Treap node-pool growth failed: hand back the slot and the item so
-    // slab accounting stays exact, then surface the failure.
+    // LRU node-pool or rank-index growth failed (the stack is unchanged):
+    // hand back the slot and the item so slab accounting stays exact, then
+    // surface the failure.
     ReleaseItem(h);
     pool_.ReleaseSlot(cls, sub);
     throw;

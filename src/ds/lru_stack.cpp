@@ -1,167 +1,165 @@
 #include "pamakv/ds/lru_stack.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace pamakv {
 
-LruStack::Node* LruStack::AllocateNode(ItemHandle value) {
-  Node* node = nullptr;
-  if (!free_nodes_.empty()) {
-    node = free_nodes_.back();
-    free_nodes_.pop_back();
+namespace {
+
+/// Index words for a stack of `size` nodes: a span of at least twice the
+/// size (PushTop grows it past that), so a renumber is paid for by at
+/// least span / 2 new stamps.
+std::size_t WordsFor(std::size_t size) noexcept {
+  return std::max<std::size_t>(1, (4 * size + 63) / 64);
+}
+
+}  // namespace
+
+void LruStack::RankIndex::Set(std::uint64_t stamp) noexcept {
+  bits[stamp / 64] |= std::uint64_t{1} << (stamp % 64);
+  word_counts.Add(stamp / 64, +1);
+}
+
+void LruStack::RankIndex::Clear(std::uint64_t stamp) noexcept {
+  bits[stamp / 64] &= ~(std::uint64_t{1} << (stamp % 64));
+  word_counts.Add(stamp / 64, -1);
+}
+
+std::size_t LruStack::RankIndex::CountBelow(
+    std::uint64_t stamp) const noexcept {
+  const std::uint64_t below = (std::uint64_t{1} << (stamp % 64)) - 1;
+  return static_cast<std::size_t>(word_counts.PrefixSum(stamp / 64)) +
+         static_cast<std::size_t>(std::popcount(bits[stamp / 64] & below));
+}
+
+void LruStack::RankIndex::Fill(std::size_t count) noexcept {
+  const auto word_count = [count](std::size_t w) -> std::int64_t {
+    return static_cast<std::int64_t>(std::min<std::size_t>(
+        64, count > 64 * w ? count - 64 * w : 0));
+  };
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    const auto n = static_cast<unsigned>(word_count(w));
+    bits[w] = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+  }
+  word_counts.Assign(word_count);
+}
+
+void LruStack::Unlink(Node* node) noexcept {
+  (node->up != nullptr ? node->up->down : top_) = node->down;
+  (node->down != nullptr ? node->down->up : bottom_) = node->up;
+}
+
+void LruStack::LinkTop(Node* node) noexcept {
+  node->up = nullptr;
+  node->down = top_;
+  (top_ != nullptr ? top_->up : bottom_) = node;
+  top_ = node;
+}
+
+void LruStack::StampTop(Node* node) noexcept {
+  if (!Ranked()) {
+    node->stamp = next_stamp_++;
+  } else if (next_stamp_ < ranks_.span()) {
+    node->stamp = next_stamp_++;
+    ranks_.Set(node->stamp);
+  } else {
+    Renumber();
+  }
+}
+
+LruStack::Node* LruStack::PushTop(ItemHandle value) {
+  // Everything that can throw runs before the first mutation.
+  RankIndex grown;
+  if (Ranked() && 2 * (size_ + 1) > ranks_.span()) {
+    grown = RankIndex(WordsFor(size_ + 1));
+  }
+  Node* node = free_;
+  if (node != nullptr) {
+    free_ = node->down;
   } else {
     pool_.emplace_back();
     node = &pool_.back();
   }
-  *node = Node{};
   node->value = value;
-  node->priority = rng_.NextU64();
-  return node;
-}
-
-void LruStack::RecycleNode(Node* node) noexcept { free_nodes_.push_back(node); }
-
-void LruStack::RotateUp(Node* n) noexcept {
-  Node* p = n->parent;
-  assert(p != nullptr);
-  Node* g = p->parent;
-  if (p->left == n) {
-    // Right rotation: n rises, p becomes n's right child.
-    p->left = n->right;
-    if (n->right) n->right->parent = p;
-    n->right = p;
-  } else {
-    // Left rotation.
-    p->right = n->left;
-    if (n->left) n->left->parent = p;
-    n->left = p;
-  }
-  p->parent = n;
-  n->parent = g;
-  if (g) {
-    (g->left == p ? g->left : g->right) = n;
-  } else {
-    root_ = n;
-  }
-  Update(p);
-  Update(n);
-}
-
-void LruStack::LinkTop(Node* node) noexcept {
-  node->left = node->right = node->parent = nullptr;
-  node->subtree_size = 1;
-  if (root_ == nullptr) {
-    root_ = node;
-    ++size_;
-    return;
-  }
-  // Attach at the leftmost position (in-order front == MRU top).
-  Node* cur = root_;
-  while (cur->left) cur = cur->left;
-  cur->left = node;
-  node->parent = cur;
-  // Path sizes grew by one.
-  for (Node* p = cur; p; p = p->parent) ++p->subtree_size;
-  // Restore the max-heap property on priorities.
-  while (node->parent && node->priority > node->parent->priority) {
-    RotateUp(node);
-  }
-  ++size_;
-}
-
-LruStack::Node* LruStack::PushTop(ItemHandle value) {
-  Node* node = AllocateNode(value);
   LinkTop(node);
-  return node;
-}
-
-void LruStack::Unlink(Node* node) noexcept {
-  // Sink the node to a leaf by rotating up its higher-priority child.
-  while (node->left || node->right) {
-    Node* child = nullptr;
-    if (!node->left) {
-      child = node->right;
-    } else if (!node->right) {
-      child = node->left;
-    } else {
-      child = node->left->priority > node->right->priority ? node->left
-                                                           : node->right;
-    }
-    RotateUp(child);
-  }
-  Node* p = node->parent;
-  if (p) {
-    (p->left == node ? p->left : p->right) = nullptr;
-    for (Node* q = p; q; q = q->parent) --q->subtree_size;
+  ++size_;
+  if (grown.bits.empty()) {
+    StampTop(node);
   } else {
-    root_ = nullptr;
+    ranks_ = std::move(grown);
+    Renumber();
   }
-  node->parent = nullptr;
-  --size_;
+  return node;
 }
 
 void LruStack::Erase(Node* node) noexcept {
+  if (Ranked()) ranks_.Clear(node->stamp);
   Unlink(node);
-  RecycleNode(node);
+  --size_;
+  node->down = free_;
+  free_ = node;
 }
 
 void LruStack::MoveToTop(Node* node) noexcept {
+  if (node == top_) return;  // already holds the newest stamp
+  if (Ranked()) ranks_.Clear(node->stamp);
   Unlink(node);
-  node->priority = rng_.NextU64();
   LinkTop(node);
+  StampTop(node);
 }
 
-std::size_t LruStack::RankFromTop(const Node* node) const noexcept {
-  std::size_t rank = SizeOf(node->left);
-  for (const Node* cur = node; cur->parent; cur = cur->parent) {
-    if (cur->parent->right == cur) {
-      rank += SizeOf(cur->parent->left) + 1;
-    }
+std::size_t LruStack::RankFromBottom(const Node* node) const {
+  if (!Ranked()) {
+    ranks_ = RankIndex(WordsFor(size_));  // a throw leaves ranks_ empty
+    Renumber();
   }
-  return rank;
+  return ranks_.CountBelow(node->stamp);
 }
 
-LruStack::Node* LruStack::KthFromBottom(std::size_t k) const noexcept {
-  if (k >= size_) return nullptr;
-  // k-th from bottom == (size-1-k)-th from top; select by in-order index.
-  std::size_t idx = size_ - 1 - k;
-  Node* cur = root_;
-  for (;;) {
-    const std::size_t left = SizeOf(cur->left);
-    if (idx < left) {
-      cur = cur->left;
-    } else if (idx == left) {
-      return cur;
-    } else {
-      idx -= left + 1;
-      cur = cur->right;
-    }
-  }
-}
-
-LruStack::Node* LruStack::TowardTop(Node* node) noexcept {
-  // In-order predecessor (position - 1).
-  if (node->left) {
-    Node* cur = node->left;
-    while (cur->right) cur = cur->right;
-    return cur;
-  }
-  Node* cur = node;
-  while (cur->parent && cur->parent->left == cur) cur = cur->parent;
-  return cur->parent;
-}
-
-bool LruStack::CheckSubtree(const Node* n, const Node* parent) const noexcept {
-  if (n == nullptr) return true;
-  if (n->parent != parent) return false;
-  if (parent && n->priority > parent->priority) return false;
-  if (n->subtree_size != 1 + SizeOf(n->left) + SizeOf(n->right)) return false;
-  return CheckSubtree(n->left, n) && CheckSubtree(n->right, n);
+void LruStack::Renumber() const noexcept {
+  std::uint64_t stamp = 0;
+  for (Node* n = bottom_; n != nullptr; n = n->up) n->stamp = stamp++;
+  next_stamp_ = stamp;
+  ranks_.Fill(size_);
 }
 
 bool LruStack::CheckInvariants() const noexcept {
-  if (SizeOf(root_) != size_) return false;
-  return CheckSubtree(root_, nullptr);
+  if ((top_ == nullptr) != (size_ == 0) ||
+      (bottom_ == nullptr) != (size_ == 0)) {
+    return false;
+  }
+  if (top_ != nullptr && (top_->up != nullptr || bottom_->down != nullptr)) {
+    return false;
+  }
+  std::size_t count = 0;
+  for (const Node* n = bottom_; n != nullptr; n = n->up) {
+    if (++count > size_) return false;  // a cycle, or a stale size
+    if (n->stamp >= next_stamp_) return false;
+    if (n->up != nullptr && (n->up->down != n || n->up->stamp <= n->stamp)) {
+      return false;
+    }
+    if (n->up == nullptr && n != top_) return false;
+    if (Ranked() &&
+        (n->stamp >= ranks_.span() ||
+         ((ranks_.bits[n->stamp / 64] >> (n->stamp % 64)) & 1) == 0)) {
+      return false;
+    }
+  }
+  if (count != size_) return false;
+  if (!Ranked()) return true;
+  // The index marks exactly the live stamps, and each word's count in the
+  // tree matches its bits.
+  if (next_stamp_ > ranks_.span()) return false;
+  std::size_t marked = 0;
+  for (std::size_t w = 0; w < ranks_.bits.size(); ++w) {
+    const int ones = std::popcount(ranks_.bits[w]);
+    if (ranks_.word_counts.RangeSum(w, w + 1) != ones) return false;
+    marked += static_cast<std::size_t>(ones);
+  }
+  return marked == size_ &&
+         ranks_.word_counts.Total() == static_cast<std::int64_t>(size_);
 }
 
 }  // namespace pamakv

@@ -39,7 +39,6 @@ std::unique_ptr<CacheEngine> MakeEngine(std::string_view scheme,
   engine_cfg.size_classes = geometry;
   engine_cfg.capacity_bytes = capacity_bytes;
   engine_cfg.hit_time_us = options.hit_time_us;
-  engine_cfg.seed = options.engine_seed;
 
   std::unique_ptr<AllocationPolicy> policy;
   if (scheme == "memcached") {

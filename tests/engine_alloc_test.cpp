@@ -1,8 +1,8 @@
 // Verifies the engine's steady-state hot path is allocation-free: once the
-// cache has warmed up (item table, LRU node pools, ghost tables and hash
-// index at their structural maxima), Get/Set/eviction cycles must not touch
-// the heap. Guards against regressions like the node-allocating
-// std::unordered_map the ghost lists used to carry.
+// cache has warmed up (item table, LRU node pools and rank indexes, ghost
+// tables and hash index at their structural maxima), Get/Set/eviction
+// cycles must not touch the heap. Guards against regressions like the
+// node-allocating std::unordered_map the ghost lists used to carry.
 //
 // Allocation counting lives in alloc_count.cpp (shared with
 // net_alloc_test, which extends the same discipline to the server's
@@ -48,11 +48,11 @@ TEST(EngineAllocationTest, SteadyStateGetSetIsAllocationFree) {
       << "steady-state Get/Set allocated " << during << " times";
 }
 
-TEST(EngineAllocationTest, PamaAllocatesPerWindowNotPerRequest) {
-  // PAMA rebuilds per-segment Bloom filters at window boundaries — that is
-  // allowed. What must not happen is allocation scaling with requests.
-  auto engine = MakeEngine("pama", 8ULL * 1024 * 1024, SizeClassConfig{});
-  Rng rng(11);
+/// PAMA rebuilds per-segment Bloom filters at window boundaries — that is
+/// allowed. What must not happen is allocation scaling with requests.
+void ExpectAllocationsPerWindow(const char* scheme, std::uint64_t seed) {
+  auto engine = MakeEngine(scheme, 8ULL * 1024 * 1024, SizeClassConfig{});
+  Rng rng(seed);
   Drive(*engine, rng, 400'000);
 
   const std::uint64_t before = test::AllocationCount();
@@ -61,8 +61,18 @@ TEST(EngineAllocationTest, PamaAllocatesPerWindowNotPerRequest) {
   const std::uint64_t during =
       test::AllocationCount() - before;
   EXPECT_LT(during, kRequests / 100)
-      << "PAMA hot path allocated " << during << " times in " << kRequests
-      << " requests";
+      << scheme << " hot path allocated " << during << " times in "
+      << kRequests << " requests";
+}
+
+TEST(EngineAllocationTest, PamaAllocatesPerWindowNotPerRequest) {
+  ExpectAllocationsPerWindow("pama", 11);
+}
+
+TEST(EngineAllocationTest, PamaExactAllocatesPerWindowNotPerRequest) {
+  // Exact attribution queries a rank on every hit, so every stack carries
+  // a rank index; it may grow only while its stack does.
+  ExpectAllocationsPerWindow("pama-exact", 13);
 }
 
 }  // namespace

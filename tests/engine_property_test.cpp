@@ -5,31 +5,14 @@
 
 #include <numeric>
 
-#include "pamakv/sim/experiment.hpp"
-#include "pamakv/trace/generators.hpp"
 #include "pamakv/util/rng.hpp"
+#include "sim_decisions.hpp"
 
 namespace pamakv {
 namespace {
 
-SizeClassConfig SmallGeometry() {
-  SizeClassConfig g;
-  g.slab_bytes = 4096;
-  g.min_slot_bytes = 32;
-  g.num_classes = 6;  // 32..1024 B
-  return g;
-}
-
-SchemeOptions FastOptions() {
-  SchemeOptions o;
-  o.pama.window_accesses = 2000;
-  o.psa.window_accesses = 2000;
-  o.psa.misses_per_relocation = 200;
-  o.facebook.check_interval = 500;
-  o.lama.window_accesses = 2000;
-  o.lama.granularity_slabs = 2;
-  return o;
-}
+using test::FastOptions;
+using test::SmallGeometry;
 
 class PolicyPropertyTest : public ::testing::TestWithParam<std::string> {};
 

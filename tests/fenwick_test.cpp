@@ -64,6 +64,21 @@ TEST(FenwickTest, ResetClears) {
   EXPECT_EQ(t.PrefixSum(8), 0);
 }
 
+TEST(FenwickTest, AssignMatchesPerPositionAdds) {
+  // Odd size, so the last parents fall outside the tree.
+  const std::size_t n = 37;
+  FenwickTree t(n);
+  t.Add(3, 100);  // overwritten by Assign
+  t.Assign([](std::size_t i) { return static_cast<std::int64_t>(i % 5) - 1; });
+  FenwickTree ref(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ref.Add(i, static_cast<std::int64_t>(i % 5) - 1);
+  }
+  for (std::size_t i = 0; i <= n; ++i) {
+    ASSERT_EQ(t.PrefixSum(i), ref.PrefixSum(i)) << "prefix " << i;
+  }
+}
+
 TEST(FenwickTest, SizeReportsConstructedSize) {
   FenwickTree t(31);
   EXPECT_EQ(t.size(), 31u);
