@@ -5,9 +5,11 @@
 // bound the simulator's cost per operation and document the O(log n) /
 // O(1) claims. The durable byte path has one bench per layer: the frame
 // CRC, a WAL store append, and a flash frame read (inline from the page
-// cache against ReadNow). BENCH_layers.json holds the run of
+// cache against ReadNow). Two more benches time the service under key
+// churn: stores that evict, and misses routed by ghosts. BENCH_layers.json
+// holds the run of
 //
-//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead|LruStack|EngineGetSet|ServiceGetBatch'
+//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead|LruStack|EngineGetSet|ServiceGetBatch|ServiceSetEvicting|ServiceGetMiss'
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -74,12 +76,12 @@ void BM_LruStackRank(benchmark::State& state) {
 BENCHMARK(BM_LruStackRank)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
 
 void BM_GhostListPushLookup(benchmark::State& state) {
-  GhostList ghost(static_cast<std::size_t>(state.range(0)));
+  GhostLists ghost({static_cast<std::size_t>(state.range(0))});
   Rng rng(3);
   for (auto _ : state) {
     const KeyId key = rng.NextBounded(1 << 20);
-    ghost.Push(key, 1000);
-    benchmark::DoNotOptimize(ghost.Lookup(rng.NextBounded(1 << 20)));
+    ghost.Push(0, key, 1000);
+    benchmark::DoNotOptimize(ghost.Lookup(0, rng.NextBounded(1 << 20)));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -156,6 +158,15 @@ BENCHMARK(BM_EngineGetSet)->Arg(0)->Arg(1)->Arg(2);
 // hit, reply bytes). The population is hot-pipelined's: 200k keys with
 // 16-143 B values and log-uniform penalties, 4 shards, 64 MiB, Zipf(0.99)
 // popularity, so every GET hits. Items are GETs.
+/// Key k's penalty (µs) in the service benches: log-uniform over
+/// 500 µs..4.6 s, so every band holds keys.
+std::uint32_t ChurnPenalty(std::uint64_t k) {
+  const double unit =
+      static_cast<double>(Mix64(k ^ 0x9e3779b97f4a7c15ULL) >> 11) /
+      9007199254740992.0;
+  return static_cast<std::uint32_t>(500.0 * std::pow(9210.0, unit));
+}
+
 void BM_ServiceGetBatch(benchmark::State& state) {
   constexpr std::uint64_t kKeys = 200'000;
   constexpr std::size_t kDepth = 32;
@@ -214,6 +225,118 @@ void BM_ServiceGetBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kDepth));
 }
 BENCHMARK(BM_ServiceGetBatch);
+
+constexpr std::uint64_t kChurnKeys = 1 << 18;
+
+/// A full cache under key churn: 4 shards, 16 MiB, 200 B values with
+/// log-uniform penalties, filled by storing the first 200k of kChurnKeys
+/// names, about three capacities' worth.
+std::unique_ptr<net::CacheService> ChurnedCache(
+    std::vector<std::string>& names) {
+  net::CacheServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.capacity_bytes = 16ULL << 20;
+  auto service = std::make_unique<net::CacheService>(cfg, [](Bytes bytes) {
+    return MakeEngine("pama", bytes, SizeClassConfig{});
+  });
+  names.resize(kChurnKeys);
+  for (std::uint64_t k = 0; k < kChurnKeys; ++k) {
+    names[k] = "c:" + std::to_string(k);
+  }
+  const std::string value(200, 'v');
+  for (std::uint64_t k = 0; k < 200'000; ++k) {
+    service->Store(net::StoreVerb::kSet, names[k], ChurnPenalty(k), 0, value);
+  }
+  return service;
+}
+
+/// Runs the staged batch the way ShardExecutor::Execute does: grouped by
+/// shard, one CacheService::ExecuteOps call per group.
+void ExecuteByShard(net::CacheService& service, net::Batch& batch,
+                    std::vector<std::vector<std::uint32_t>>& groups) {
+  for (auto& g : groups) g.clear();
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    net::BatchOp& op = batch.op(i);
+    op.id = HashStringKey(op.key);
+    op.shard = static_cast<std::uint32_t>(service.ShardIndexForId(op.id));
+    groups[op.shard].push_back(i);
+  }
+  net::CacheService::FlashPending park;
+  for (std::uint32_t s = 0; s < groups.size(); ++s) {
+    if (groups[s].empty()) continue;
+    service.ExecuteOps(s, batch, groups[s].data(), groups[s].size(), &park);
+  }
+}
+
+// Stores into a full cache: a round of 32 SETs of keys long evicted (the
+// stream cycles through kChurnKeys names, ~4x what the cache holds), each
+// making room — MakeRoom, the eviction and its ghost, and the reuse of the
+// victim's item and record. Items are SETs.
+void BM_ServiceSetEvicting(benchmark::State& state) {
+  constexpr std::size_t kDepth = 32;
+  std::vector<std::string> names;
+  auto service = ChurnedCache(names);
+  net::Batch batch;
+  std::vector<std::vector<std::uint32_t>> groups(service->shard_count());
+  const std::string value(200, 'v');
+  std::uint64_t next = 200'000;
+  std::uint64_t stored = 0;
+  for (auto _ : state) {
+    batch.Reset();
+    for (std::uint32_t i = 0; i < kDepth; ++i, ++next) {
+      net::BatchOp& op = batch.Push();
+      op.verb = net::Verb::kSet;
+      op.key.assign(names[next % kChurnKeys]);
+      op.value.assign(value);
+      op.flags = ChurnPenalty(next % kChurnKeys);
+    }
+    ExecuteByShard(*service, batch, groups);
+    for (std::uint32_t i = 0; i < kDepth; ++i) {
+      stored += batch.op(i).out.size() == 8;  // "STORED\r\n"
+    }
+  }
+  if (stored == 0) state.SkipWithError("no SET was stored");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDepth));
+}
+BENCHMARK(BM_ServiceSetEvicting);
+
+// GETs of evicted keys: a round of 32 GET misses over the 2,048 most
+// recently evicted keys of the churned cache, each routed to the ghost
+// list of the (class, band) it left and charged its penalty. Items are
+// GETs.
+void BM_ServiceGetMiss(benchmark::State& state) {
+  constexpr std::size_t kDepth = 32;
+  std::vector<std::string> names;
+  auto service = ChurnedCache(names);
+  std::vector<std::string> evicted;
+  for (std::uint64_t k = 200'000; k-- > 0 && evicted.size() < 2048;) {
+    const KeyId id = HashStringKey(names[k]);
+    if (!service->shard_engine(service->ShardIndexForId(id)).Contains(id)) {
+      evicted.push_back(names[k]);
+    }
+  }
+  net::Batch batch;
+  std::vector<std::vector<std::uint32_t>> groups(service->shard_count());
+  std::size_t next = 0;
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    batch.Reset();
+    for (std::uint32_t i = 0; i < kDepth; ++i) {
+      net::BatchOp& op = batch.Push();
+      op.key.assign(evicted[next++ % evicted.size()]);
+      op.append_end = true;
+    }
+    ExecuteByShard(*service, batch, groups);
+    for (std::uint32_t i = 0; i < kDepth; ++i) {
+      hits += batch.op(i).out.size() != 5;  // more than a bare "END\r\n"
+    }
+  }
+  if (hits != 0) state.SkipWithError("a GET of an evicted key hit");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDepth));
+}
+BENCHMARK(BM_ServiceGetMiss);
 
 /// A mkdtemp directory under /tmp, removed with everything in it.
 class ScratchDir {

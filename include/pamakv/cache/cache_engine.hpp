@@ -17,7 +17,7 @@
 //    subclass = penalty band of `penalty`. If the class has no free slot
 //    the engine asks the free pool first and the policy second (MakeRoom).
 //    Memcached-compatible: a SET whose space cannot be found fails.
-//  * Del(key): removes the item (and any ghost entry).
+//  * Del(key): removes the item (no ghost entry is recorded).
 //
 // Logical time is the count of requests processed ("accesses"), which is
 // how the paper defines PAMA's windows.
@@ -66,6 +66,8 @@ struct GetResult {
 struct SetResult {
   bool stored = false;
   bool updated = false;  ///< overwrote an existing entry for the key
+  /// The stored item's handle, reused once the key leaves the cache.
+  ItemHandle handle = kInvalidHandle;
 };
 
 class CacheEngine {
@@ -120,6 +122,25 @@ class CacheEngine {
     return index_.Find(key) != kInvalidHandle;
   }
 
+  /// The cached key's item handle, or kInvalidHandle.
+  [[nodiscard]] ItemHandle HandleOf(KeyId key) const noexcept {
+    return index_.Find(key);
+  }
+
+  /// Every handle issued so far is below this; the next Set or
+  /// RestoreItem issues at most handle_limit().
+  [[nodiscard]] std::size_t handle_limit() const noexcept {
+    return items_.size();
+  }
+
+  /// Where an evicted key's ghost lives, and the penalty it left with.
+  struct Ghost {
+    ClassId cls = 0;
+    SubclassId band = 0;
+    MicroSecs penalty = 0;
+  };
+  [[nodiscard]] std::optional<Ghost> FindGhost(KeyId key) const;
+
   // ---- Introspection (stats, figures, tests) ----
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] AccessClock clock() const noexcept { return clock_; }
@@ -139,7 +160,7 @@ class CacheEngine {
   /// per-subclass breakdown of stats().ghost_hits (the metrics layer
   /// exports these as pamakv_ghost_hits{class,band} counters).
   [[nodiscard]] std::uint64_t GhostHitCount(ClassId c, SubclassId s) const {
-    return ghost_hits_by_stack_[StackIndex(c, s)];
+    return ghost_hits_by_stack_[SubclassIndex(c, s)];
   }
 
   // ---- Policy-facing mechanics ----
@@ -147,25 +168,27 @@ class CacheEngine {
   // than friend-scoped so user-defined policies (examples/custom_policy)
   // can build on them too.
 
+  /// Position of subclass (c, s)'s stack, and of its list in ghosts().
+  [[nodiscard]] std::size_t SubclassIndex(ClassId c, SubclassId s) const {
+    return static_cast<std::size_t>(c) * bands_.num_bands() + s;
+  }
   [[nodiscard]] LruStack& StackOf(ClassId c, SubclassId s) {
-    return stacks_[StackIndex(c, s)];
+    return stacks_[SubclassIndex(c, s)];
   }
   [[nodiscard]] const LruStack& StackOf(ClassId c, SubclassId s) const {
-    return stacks_[StackIndex(c, s)];
+    return stacks_[SubclassIndex(c, s)];
   }
-  [[nodiscard]] GhostList& GhostOf(ClassId c, SubclassId s) {
-    return ghosts_[StackIndex(c, s)];
-  }
-  [[nodiscard]] const GhostList& GhostOf(ClassId c, SubclassId s) const {
-    return ghosts_[StackIndex(c, s)];
-  }
+  /// Every subclass's ghost list; list SubclassIndex(c, s) is (c, s)'s.
+  [[nodiscard]] GhostLists& ghosts() noexcept { return ghosts_; }
+  [[nodiscard]] const GhostLists& ghosts() const noexcept { return ghosts_; }
   [[nodiscard]] const Item& ItemAt(ItemHandle h) const { return items_[h]; }
 
-  /// The cached item for `key`, or nullptr — read-only, no promotion,
-  /// no stats. Snapshot capture walks the stacks and peeks each key.
-  [[nodiscard]] const Item* Peek(KeyId key) const {
-    const ItemHandle h = index_.Find(key);
-    return h == kInvalidHandle ? nullptr : &items_[h];
+  /// Calls fn(item) for every cached item, in handle order.
+  template <typename Fn>
+  void ForEachItem(Fn&& fn) const {
+    for (const Item& item : items_) {
+      if (item.node != nullptr) fn(item);
+    }
   }
 
   /// Moves one free-pool slab to (c, s). Warm restart replays the saved
@@ -206,19 +229,16 @@ class CacheEngine {
 
   /// Observer fired for every *capacity* eviction (EvictBottom /
   /// EvictClassLru — including those inside MigrateSlab/MakeRoom), with
-  /// the victim still intact, before it leaves index and stack. Del and
-  /// Expire removals do not fire it. This is the flash tier's demotion
-  /// hook. The listener runs mid-eviction and must not reenter the
-  /// engine; queue and act after the triggering call returns.
-  using EvictionListener = std::function<void(const Item&)>;
+  /// the victim's handle, while ItemAt(handle) is still intact, before it
+  /// leaves index and stack. Del and Expire removals do not fire it. This
+  /// is the flash tier's demotion hook. The listener runs mid-eviction and
+  /// must not reenter the engine; queue and act after the call returns.
+  using EvictionListener = std::function<void(ItemHandle)>;
   void SetEvictionListener(EvictionListener listener) {
     eviction_listener_ = std::move(listener);
   }
 
  private:
-  [[nodiscard]] std::size_t StackIndex(ClassId c, SubclassId s) const noexcept {
-    return static_cast<std::size_t>(c) * bands_.num_bands() + s;
-  }
   ItemHandle AllocateItem();
   void ReleaseItem(ItemHandle h) noexcept;
   /// Grows the item table so the next AllocateItem cannot throw. Called
@@ -239,7 +259,7 @@ class CacheEngine {
   std::deque<Item> items_;
   std::vector<ItemHandle> free_items_;
   std::vector<LruStack> stacks_;
-  std::vector<GhostList> ghosts_;
+  GhostLists ghosts_;
   /// Ghost hits per (class, subclass), indexed like stacks_.
   std::vector<std::uint64_t> ghost_hits_by_stack_;
   std::unique_ptr<AllocationPolicy> policy_;

@@ -11,19 +11,17 @@ namespace pamakv {
 
 namespace {
 
-std::vector<GhostList> MakeGhosts(const SizeClassTable& classes,
-                                  std::uint32_t bands,
-                                  std::uint32_t ghost_segments) {
-  std::vector<GhostList> ghosts;
-  ghosts.reserve(static_cast<std::size_t>(classes.num_classes()) * bands);
+/// Ghost list capacities in SubclassIndex order.
+std::vector<std::size_t> GhostCapacities(const SizeClassTable& classes,
+                                         std::uint32_t bands,
+                                         std::uint32_t ghost_segments) {
+  std::vector<std::size_t> capacities;
   for (ClassId c = 0; c < classes.num_classes(); ++c) {
-    const std::size_t cap =
-        static_cast<std::size_t>(ghost_segments) * classes.SlotsPerSlab(c);
-    for (std::uint32_t s = 0; s < bands; ++s) {
-      ghosts.emplace_back(cap);
-    }
+    capacities.insert(capacities.end(), bands,
+                      static_cast<std::size_t>(ghost_segments) *
+                          classes.SlotsPerSlab(c));
   }
-  return ghosts;
+  return capacities;
 }
 
 }  // namespace
@@ -35,7 +33,8 @@ CacheEngine::CacheEngine(const EngineConfig& config,
       pool_(config.capacity_bytes, classes_, bands_.num_bands()),
       stacks_(static_cast<std::size_t>(classes_.num_classes()) *
               bands_.num_bands()),
-      ghosts_(MakeGhosts(classes_, bands_.num_bands(), config.ghost_segments)),
+      ghosts_(GhostCapacities(classes_, bands_.num_bands(),
+                              config.ghost_segments)),
       ghost_hits_by_stack_(stacks_.size(), 0),
       policy_(std::move(policy)),
       hit_time_us_(config.hit_time_us) {
@@ -112,9 +111,10 @@ GetResult CacheEngine::Get(KeyId key, Bytes size, MicroSecs miss_penalty) {
   const auto cls_opt = classes_.ClassForSize(size);
   if (cls_opt) {
     const SubclassId sub = bands_.BandFor(miss_penalty);
-    if (GhostOf(*cls_opt, sub).Contains(key)) {
+    const std::size_t list = SubclassIndex(*cls_opt, sub);
+    if (ghosts_.Contains(list, key)) {
       ++stats_.ghost_hits;
-      ++ghost_hits_by_stack_[StackIndex(*cls_opt, sub)];
+      ++ghost_hits_by_stack_[list];
     }
     policy_->OnMiss(key, size, miss_penalty, *cls_opt, sub);
   }
@@ -155,7 +155,7 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
       item.fetched = false;  // the new value hasn't been read yet
       StackOf(cls, sub).MoveToTop(item.node);
       ++stats_.set_updates;
-      return SetResult{true, true};
+      return SetResult{true, true, existing};
     }
     // Class or subclass changed: drop the old copy, insert fresh below.
     RemoveItem(existing, /*to_ghost=*/false);
@@ -167,7 +167,7 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
     // an instant eviction. Re-misses then feed the subclass's incoming
     // value, letting value-gated policies (PAMA) grant it space once the
     // demand proves itself.
-    GhostOf(cls, sub).Push(key, penalty);
+    ghosts_.Push(SubclassIndex(cls, sub), key, penalty);
     return SetResult{};
   }
 
@@ -203,9 +203,17 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
   }
   stats_.bytes_stored += size;
   // The key is cached again: its ghost entry (if any) is obsolete.
-  GhostOf(cls, sub).Remove(key);
+  ghosts_.Remove(key);
   policy_->OnInsert(item);
-  return SetResult{true, existing != kInvalidHandle};
+  return SetResult{true, existing != kInvalidHandle, h};
+}
+
+std::optional<CacheEngine::Ghost> CacheEngine::FindGhost(KeyId key) const {
+  const auto ghost = ghosts_.Find(key);
+  if (!ghost) return std::nullopt;
+  const std::uint32_t bands = bands_.num_bands();
+  return Ghost{static_cast<ClassId>(ghost->list / bands),
+               static_cast<SubclassId>(ghost->list % bands), ghost->penalty};
 }
 
 bool CacheEngine::Del(KeyId key) {
@@ -285,7 +293,7 @@ bool CacheEngine::RestoreItem(KeyId key, Bytes size, MicroSecs penalty,
     throw;
   }
   stats_.bytes_stored += size;
-  GhostOf(cls, sub).Remove(key);
+  ghosts_.Remove(key);
   policy_->OnInsert(item);
   return true;
 }
@@ -312,7 +320,7 @@ void CacheEngine::RemoveItem(ItemHandle h, bool to_ghost) {
   Item& item = items_[h];
   stats_.bytes_stored -= item.size;
   if (to_ghost) {
-    GhostOf(item.cls, item.sub).Push(item.key, item.penalty);
+    ghosts_.Push(SubclassIndex(item.cls, item.sub), item.key, item.penalty);
   }
   policy_->OnEvict(item);
   StackOf(item.cls, item.sub).Erase(item.node);
@@ -327,7 +335,7 @@ bool CacheEngine::EvictBottom(ClassId c, SubclassId s) {
   LruStack::Node* bottom = stack.Bottom();
   if (bottom == nullptr) return false;
   ++stats_.evictions;
-  if (eviction_listener_) eviction_listener_(items_[bottom->value]);
+  if (eviction_listener_) eviction_listener_(bottom->value);
   RemoveItem(bottom->value, /*to_ghost=*/true);
   return true;
 }
@@ -350,7 +358,7 @@ bool CacheEngine::EvictClassLru(ClassId c) {
   if (victim == nullptr) return false;
   (void)victim_sub;
   ++stats_.evictions;
-  if (eviction_listener_) eviction_listener_(items_[victim->value]);
+  if (eviction_listener_) eviction_listener_(victim->value);
   RemoveItem(victim->value, /*to_ghost=*/true);
   return true;
 }

@@ -1,153 +1,102 @@
 #include "pamakv/ds/ghost_list.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace pamakv {
 
-namespace {
-
-std::size_t RoundUpPow2(std::size_t n) noexcept {
-  std::size_t p = 8;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-GhostList::GhostList(std::size_t capacity)
-    : entries_(capacity ? capacity : 1), live_counts_(capacity ? capacity : 1) {
-  if (capacity == 0) {
-    throw std::invalid_argument("GhostList: capacity must be > 0");
-  }
-  // At most `capacity` keys are ever live, so 2x slots keeps the load factor
-  // at or below 0.5 forever — the table is allocated once and never grows.
-  map_slots_.assign(RoundUpPow2(capacity * 2), MapSlot{});
-  map_mask_ = map_slots_.size() - 1;
-}
-
-const GhostList::MapSlot* GhostList::MapFind(KeyId key) const noexcept {
-  std::size_t pos = MapIdeal(key);
-  for (;;) {
-    const MapSlot& s = map_slots_[pos];
-    if (s.seq == kNoSeq) return nullptr;
-    if (s.key == key) return &s;
-    pos = (pos + 1) & map_mask_;
-  }
-}
-
-void GhostList::MapUpsert(KeyId key, std::uint64_t seq) noexcept {
-  assert(map_size_ < map_slots_.size());
-  std::size_t pos = MapIdeal(key);
-  for (;;) {
-    MapSlot& s = map_slots_[pos];
-    if (s.seq == kNoSeq) {
-      s = MapSlot{key, seq};
-      ++map_size_;
-      return;
+GhostLists::GhostLists(const std::vector<std::size_t>& capacities) {
+  std::size_t total = 0;
+  rings_.reserve(capacities.size());
+  for (const std::size_t capacity : capacities) {
+    if (capacity == 0) {
+      throw std::invalid_argument("GhostLists: capacity must be > 0");
     }
-    if (s.key == key) {
-      s.seq = seq;
-      return;
-    }
-    pos = (pos + 1) & map_mask_;
+    rings_.push_back(Ring{total, capacity, 0, 0, FenwickTree(capacity)});
+    total += capacity;
   }
+  assert(total < kInvalidHandle);
+  entries_.assign(total, Entry{});
+  // At most `total` keys are ever live, so the index never grows again.
+  index_.Reserve(total);
 }
 
-void GhostList::MapEraseSlot(MapSlot* slot) noexcept {
-  // Backward-shift deletion (same algorithm as HashIndex::Erase): any
-  // cluster entry whose ideal slot does not lie in the cyclic range
-  // (hole, entry] would become unreachable through the hole, so it moves in.
-  std::size_t hole = static_cast<std::size_t>(slot - map_slots_.data());
-  map_slots_[hole] = MapSlot{};
-  std::size_t probe = hole;
-  for (;;) {
-    probe = (probe + 1) & map_mask_;
-    MapSlot& s = map_slots_[probe];
-    if (s.seq == kNoSeq) break;
-    const std::size_t ideal = MapIdeal(s.key);
-    if (((probe - ideal) & map_mask_) >= ((probe - hole) & map_mask_)) {
-      map_slots_[hole] = s;
-      s = MapSlot{};
-      hole = probe;
-    }
-  }
-  --map_size_;
-}
-
-void GhostList::Expire(std::size_t slot) {
-  Entry& e = entries_[slot];
-  if (!e.live) return;
+void GhostLists::Kill(Ring& ring, std::size_t slot) noexcept {
+  Entry& e = entries_[ring.base + slot];
   e.live = false;
-  live_counts_.Add(slot, -1);
-  MapSlot* found = MapFind(e.key);
-  // Only erase if the map still points at this entry (it may have been
-  // superseded by a newer ghost entry for the same key).
-  if (found != nullptr && found->seq == e.seq) MapEraseSlot(found);
+  ring.live.Add(slot, -1);
+  --ring.size;
+  index_.Erase(e.key);
 }
 
-void GhostList::Push(KeyId key, MicroSecs penalty) {
-  // Drop a stale entry for the same key so ranks reflect the newest
-  // eviction only.
+void GhostLists::Push(std::size_t list, KeyId key, MicroSecs penalty) {
+  // One ghost per key: ranks reflect the newest eviction only.
   Remove(key);
-  const std::uint64_t seq = next_seq_++;
-  const std::size_t slot = SlotOf(seq);
-  Expire(slot);
-  entries_[slot] = Entry{key, penalty, seq, true};
-  live_counts_.Add(slot, +1);
-  MapUpsert(key, seq);
+  Ring& ring = rings_[list];
+  const std::uint64_t seq = ring.next_seq++;
+  const std::size_t slot = static_cast<std::size_t>(seq % ring.capacity);
+  if (entries_[ring.base + slot].live) Kill(ring, slot);
+  entries_[ring.base + slot] =
+      Entry{key, penalty, seq, static_cast<std::uint32_t>(list), true};
+  ring.live.Add(slot, +1);
+  ++ring.size;
+  index_.Upsert(key, static_cast<ItemHandle>(ring.base + slot));
 }
 
-std::size_t GhostList::LiveNewerThan(std::uint64_t seq) const {
-  // Live entries with sequence in (seq, next_seq_). Because at most
+std::size_t GhostLists::LiveNewerThan(const Ring& ring,
+                                      std::uint64_t seq) const {
+  // Live entries with sequence in (seq, next_seq). Because at most
   // `capacity` consecutive sequences can be live, the slot range
-  // [(seq+1) % C, (next_seq_-1) % C] never self-overlaps.
-  if (next_seq_ == 0 || seq + 1 >= next_seq_) return 0;
-  const std::size_t cap = entries_.size();
-  const std::size_t lo = SlotOf(seq + 1);
-  const std::size_t hi = SlotOf(next_seq_ - 1);  // inclusive
+  // [(seq+1) % C, (next_seq-1) % C] never self-overlaps.
+  if (ring.next_seq == 0 || seq + 1 >= ring.next_seq) return 0;
+  const std::size_t lo = static_cast<std::size_t>((seq + 1) % ring.capacity);
+  const std::size_t hi =
+      static_cast<std::size_t>((ring.next_seq - 1) % ring.capacity);
   std::int64_t count = 0;
   if (lo <= hi) {
-    count = live_counts_.RangeSum(lo, hi + 1);
+    count = ring.live.RangeSum(lo, hi + 1);
   } else {
-    count = live_counts_.RangeSum(lo, cap) + live_counts_.RangeSum(0, hi + 1);
+    count = ring.live.RangeSum(lo, ring.capacity) +
+            ring.live.RangeSum(0, hi + 1);
   }
   assert(count >= 0);
   return static_cast<std::size_t>(count);
 }
 
-std::optional<GhostList::Hit> GhostList::Lookup(KeyId key) const {
-  const MapSlot* found = MapFind(key);
-  if (found == nullptr) return std::nullopt;
-  const Entry& e = entries_[SlotOf(found->seq)];
+std::optional<GhostLists::Hit> GhostLists::Lookup(std::size_t list,
+                                                  KeyId key) const {
+  const ItemHandle pos = index_.Find(key);
+  if (pos == kInvalidHandle || entries_[pos].list != list) return std::nullopt;
+  const Entry& e = entries_[pos];
   assert(e.live && e.key == key);
-  return Hit{e.penalty, LiveNewerThan(e.seq)};
+  return Hit{e.penalty, LiveNewerThan(rings_[list], e.seq)};
 }
 
-std::vector<GhostList::Evicted> GhostList::SnapshotOldestFirst() const {
-  std::vector<const Entry*> live;
-  live.reserve(map_size_);
-  for (const Entry& e : entries_) {
-    if (e.live) live.push_back(&e);
-  }
-  std::sort(live.begin(), live.end(),
-            [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
+std::optional<GhostLists::Ghost> GhostLists::Find(KeyId key) const {
+  const ItemHandle pos = index_.Find(key);
+  if (pos == kInvalidHandle) return std::nullopt;
+  return Ghost{entries_[pos].list, entries_[pos].penalty};
+}
+
+std::vector<GhostLists::Evicted> GhostLists::SnapshotOldestFirst(
+    std::size_t list) const {
+  // Slot order from the next write position is eviction order.
+  const Ring& ring = rings_[list];
   std::vector<Evicted> out;
-  out.reserve(live.size());
-  for (const Entry* e : live) out.push_back(Evicted{e->key, e->penalty});
+  out.reserve(ring.size);
+  for (std::size_t i = 0; i < ring.capacity; ++i) {
+    const Entry& e =
+        entries_[ring.base + (ring.next_seq + i) % ring.capacity];
+    if (e.live) out.push_back(Evicted{e.key, e.penalty});
+  }
   return out;
 }
 
-bool GhostList::Remove(KeyId key) {
-  MapSlot* found = MapFind(key);
-  if (found == nullptr) return false;
-  const std::size_t slot = SlotOf(found->seq);
-  Entry& e = entries_[slot];
-  assert(e.live && e.key == key);
-  e.live = false;
-  live_counts_.Add(slot, -1);
-  MapEraseSlot(found);
+bool GhostLists::Remove(KeyId key) {
+  const ItemHandle pos = index_.Find(key);
+  if (pos == kInvalidHandle) return false;
+  Ring& ring = rings_[entries_[pos].list];
+  Kill(ring, pos - ring.base);
   return true;
 }
 

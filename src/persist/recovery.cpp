@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "pamakv/cache/string_keys.hpp"
@@ -233,6 +235,8 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
     map[HashStringKey(item.key)] = std::move(item);
   }
   st.items.clear();
+  // Keys whose last logged mutation is a delete.
+  std::unordered_set<KeyId> deleted;
 
   std::vector<FlushEpoch> flushes;
   std::uint64_t flush_count = st.have_snapshot ? header.flush_seq : 0;
@@ -286,6 +290,7 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
       if (rec.seq <= snapshot_seq) continue;  // snapshot already covers it
       ++report->wal_records_replayed;
       const std::uint64_t order = kReplayOrderBase + rec.seq;
+      const KeyId id = HashStringKey(rec.key);
       switch (rec.type) {
         case RecordType::kWalStore: {
           SnapItem item;
@@ -297,14 +302,16 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
           item.cas = rec.cas;
           item.order = order;
           if (item.cas > st.cas_counter) st.cas_counter = item.cas;
-          map[HashStringKey(rec.key)] = std::move(item);
+          map[id] = std::move(item);
+          deleted.erase(id);
           break;
         }
         case RecordType::kWalDelete:
-          map.erase(HashStringKey(rec.key));
+          map.erase(id);
+          deleted.insert(id);
           break;
         case RecordType::kWalTouch: {
-          const auto it = map.find(HashStringKey(rec.key));
+          const auto it = map.find(id);
           if (it != map.end()) {
             it->second.expire_unix_ns = rec.expire_unix_ns;
             it->second.stored_unix_ns = rec.stored_unix_ns;
@@ -326,7 +333,6 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
   //    killed during downtime, then order coldest-to-hottest.
   st.items.reserve(map.size());
   for (auto& [id, item] : map) {
-    (void)id;
     bool dead = false;
     if (item.expire_unix_ns != 0 &&
         (item.expire_unix_ns < 0 || item.expire_unix_ns <= now_unix_ns)) {
@@ -345,9 +351,13 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
     }
     if (dead) {
       ++report->items_expired_on_boot;
+      st.dropped.emplace_back(id, item.cas);
       continue;
     }
     st.items.push_back(std::move(item));
+  }
+  for (const KeyId id : deleted) {
+    st.dropped.emplace_back(id, std::numeric_limits<std::uint64_t>::max());
   }
   std::sort(st.items.begin(), st.items.end(),
             [](const SnapItem& a, const SnapItem& b) {

@@ -39,7 +39,7 @@ struct EngineSnapshot {
         s.slab_counts.push_back(e.pool().SlabCount(c, sub));
         s.slots_in_use.push_back(e.pool().SlotsInUse(c, sub));
         s.stack_sizes.push_back(e.SubclassItemCount(c, sub));
-        s.ghost_sizes.push_back(e.GhostOf(c, sub).size());
+        s.ghost_sizes.push_back(e.ghosts().size(e.SubclassIndex(c, sub)));
         s.ghost_hit_counts.push_back(e.GhostHitCount(c, sub));
       }
     }

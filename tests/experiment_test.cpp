@@ -50,7 +50,7 @@ TEST(ExperimentTest, CustomBandsAndGhostSegmentsHonored) {
   EXPECT_EQ(engine->num_subclasses(), 2u);
   // Ghost capacity >= (m+1) segments of the class's slots-per-slab.
   const std::size_t spp = engine->classes().SlotsPerSlab(0);
-  EXPECT_GE(engine->GhostOf(0, 0).capacity(), 5 * spp);
+  EXPECT_GE(engine->ghosts().capacity(engine->SubclassIndex(0, 0)), 5 * spp);
 }
 
 TEST(ExperimentTest, RunOneProducesLabeledResult) {

@@ -11,80 +11,98 @@ namespace pamakv {
 namespace {
 
 TEST(GhostListTest, EmptyLookupMisses) {
-  GhostList g(8);
-  EXPECT_EQ(g.Lookup(1), std::nullopt);
-  EXPECT_EQ(g.size(), 0u);
+  GhostLists g({8});
+  EXPECT_EQ(g.Lookup(0, 1), std::nullopt);
+  EXPECT_EQ(g.size(0), 0u);
   EXPECT_FALSE(g.Remove(1));
 }
 
 TEST(GhostListTest, MostRecentEvictionHasRankZero) {
-  GhostList g(8);
-  g.Push(1, 100);
-  g.Push(2, 200);
-  g.Push(3, 300);
-  EXPECT_EQ(g.Lookup(3)->rank, 0u);
-  EXPECT_EQ(g.Lookup(2)->rank, 1u);
-  EXPECT_EQ(g.Lookup(1)->rank, 2u);
-  EXPECT_EQ(g.Lookup(3)->penalty, 300);
+  GhostLists g({8});
+  g.Push(0, 1, 100);
+  g.Push(0, 2, 200);
+  g.Push(0, 3, 300);
+  EXPECT_EQ(g.Lookup(0, 3)->rank, 0u);
+  EXPECT_EQ(g.Lookup(0, 2)->rank, 1u);
+  EXPECT_EQ(g.Lookup(0, 1)->rank, 2u);
+  EXPECT_EQ(g.Lookup(0, 3)->penalty, 300);
 }
 
 TEST(GhostListTest, CapacityEvictsOldest) {
-  GhostList g(3);
-  g.Push(1, 10);
-  g.Push(2, 20);
-  g.Push(3, 30);
-  g.Push(4, 40);  // overwrites key 1
-  EXPECT_EQ(g.Lookup(1), std::nullopt);
-  EXPECT_EQ(g.size(), 3u);
-  EXPECT_EQ(g.Lookup(4)->rank, 0u);
-  EXPECT_EQ(g.Lookup(2)->rank, 2u);
+  GhostLists g({3});
+  g.Push(0, 1, 10);
+  g.Push(0, 2, 20);
+  g.Push(0, 3, 30);
+  g.Push(0, 4, 40);  // overwrites key 1
+  EXPECT_EQ(g.Lookup(0, 1), std::nullopt);
+  EXPECT_EQ(g.size(0), 3u);
+  EXPECT_EQ(g.Lookup(0, 4)->rank, 0u);
+  EXPECT_EQ(g.Lookup(0, 2)->rank, 2u);
 }
 
 TEST(GhostListTest, RemoveCompactsRanks) {
-  GhostList g(8);
-  g.Push(1, 10);
-  g.Push(2, 20);
-  g.Push(3, 30);
+  GhostLists g({8});
+  g.Push(0, 1, 10);
+  g.Push(0, 2, 20);
+  g.Push(0, 3, 30);
   EXPECT_TRUE(g.Remove(2));
   // Rank of 1 shrinks because the hole no longer counts.
-  EXPECT_EQ(g.Lookup(1)->rank, 1u);
-  EXPECT_EQ(g.Lookup(3)->rank, 0u);
-  EXPECT_EQ(g.size(), 2u);
+  EXPECT_EQ(g.Lookup(0, 1)->rank, 1u);
+  EXPECT_EQ(g.Lookup(0, 3)->rank, 0u);
+  EXPECT_EQ(g.size(0), 2u);
 }
 
 TEST(GhostListTest, RePushMovesKeyToFront) {
-  GhostList g(8);
-  g.Push(1, 10);
-  g.Push(2, 20);
-  g.Push(1, 15);  // re-evicted with a new penalty
-  EXPECT_EQ(g.Lookup(1)->rank, 0u);
-  EXPECT_EQ(g.Lookup(1)->penalty, 15);
-  EXPECT_EQ(g.Lookup(2)->rank, 1u);
-  EXPECT_EQ(g.size(), 2u);
+  GhostLists g({8});
+  g.Push(0, 1, 10);
+  g.Push(0, 2, 20);
+  g.Push(0, 1, 15);  // re-evicted with a new penalty
+  EXPECT_EQ(g.Lookup(0, 1)->rank, 0u);
+  EXPECT_EQ(g.Lookup(0, 1)->penalty, 15);
+  EXPECT_EQ(g.Lookup(0, 2)->rank, 1u);
+  EXPECT_EQ(g.size(0), 2u);
 }
 
 TEST(GhostListTest, ContainsTracksMembership) {
-  GhostList g(4);
-  EXPECT_FALSE(g.Contains(9));
-  g.Push(9, 1);
-  EXPECT_TRUE(g.Contains(9));
+  GhostLists g({4});
+  EXPECT_FALSE(g.Contains(0, 9));
+  g.Push(0, 9, 1);
+  EXPECT_TRUE(g.Contains(0, 9));
   g.Remove(9);
-  EXPECT_FALSE(g.Contains(9));
+  EXPECT_FALSE(g.Contains(0, 9));
+}
+
+TEST(GhostListTest, KeyHasOneGhostAcrossLists) {
+  GhostLists g({8, 8});
+  g.Push(0, 1, 10);
+  g.Push(0, 2, 20);
+  EXPECT_EQ(g.Lookup(0, 1)->rank, 1u);
+  g.Push(1, 1, 15);  // evicted again, from the other subclass
+  EXPECT_FALSE(g.Contains(0, 1));
+  EXPECT_EQ(g.Lookup(0, 2)->rank, 0u);
+  EXPECT_EQ(g.size(0), 1u);
+  ASSERT_TRUE(g.Find(1).has_value());
+  EXPECT_EQ(g.Find(1)->list, 1u);
+  EXPECT_EQ(g.Find(1)->penalty, 15);
+  EXPECT_EQ(g.Lookup(1, 1)->rank, 0u);
+  EXPECT_TRUE(g.Remove(1));
+  EXPECT_FALSE(g.Find(1).has_value());
+  EXPECT_EQ(g.size(1), 0u);
 }
 
 TEST(GhostListTest, ZeroCapacityRejected) {
-  EXPECT_THROW(GhostList(0), std::invalid_argument);
+  EXPECT_THROW(GhostLists({8, 0}), std::invalid_argument);
 }
 
 TEST(GhostListTest, WrapsManyTimesWithoutDrift) {
-  GhostList g(16);
-  for (KeyId k = 0; k < 1000; ++k) g.Push(k, 1);
+  GhostLists g({16});
+  for (KeyId k = 0; k < 1000; ++k) g.Push(0, k, 1);
   // Only the last 16 keys survive, ranks 0..15 newest-first.
   for (std::size_t r = 0; r < 16; ++r) {
-    EXPECT_EQ(g.Lookup(999 - r)->rank, r);
+    EXPECT_EQ(g.Lookup(0, 999 - r)->rank, r);
   }
-  EXPECT_EQ(g.Lookup(983), std::nullopt);
-  EXPECT_EQ(g.size(), 16u);
+  EXPECT_EQ(g.Lookup(0, 983), std::nullopt);
+  EXPECT_EQ(g.size(0), 16u);
 }
 
 // Model-based: compare against a reference that mirrors the documented ring
@@ -93,7 +111,7 @@ TEST(GhostListTest, WrapsManyTimesWithoutDrift) {
 // sequence s - capacity, if it is still live.
 TEST(GhostListTest, AgreesWithDequeModelUnderRandomOps) {
   const std::size_t cap = 32;
-  GhostList g(cap);
+  GhostLists g({cap});
   struct Entry {
     KeyId key;
     MicroSecs penalty;
@@ -118,7 +136,7 @@ TEST(GhostListTest, AgreesWithDequeModelUnderRandomOps) {
     const KeyId key = rng.NextBounded(64);  // small key space forces re-push
     if (choice < 60) {
       const auto penalty = static_cast<MicroSecs>(rng.NextBounded(1000));
-      g.Push(key, penalty);
+      g.Push(0, key, penalty);
       model_remove(key);
       const std::uint64_t seq = next_seq++;
       model.push_front(Entry{key, penalty, seq});
@@ -131,7 +149,7 @@ TEST(GhostListTest, AgreesWithDequeModelUnderRandomOps) {
       const bool b = model_remove(key);
       ASSERT_EQ(a, b);
     } else {
-      const auto hit = g.Lookup(key);
+      const auto hit = g.Lookup(0, key);
       std::optional<std::size_t> expect_rank;
       MicroSecs expect_penalty = 0;
       for (std::size_t i = 0; i < model.size(); ++i) {
@@ -147,7 +165,7 @@ TEST(GhostListTest, AgreesWithDequeModelUnderRandomOps) {
         ASSERT_EQ(hit->penalty, expect_penalty) << "op " << op;
       }
     }
-    ASSERT_EQ(g.size(), model.size());
+    ASSERT_EQ(g.size(0), model.size());
   }
 }
 

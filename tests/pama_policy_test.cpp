@@ -101,7 +101,7 @@ TEST(PamaPolicyTest, StarvedSubclassBootstrapsViaGhost) {
   const auto refused = e.Set(1, 512, 100);
   EXPECT_FALSE(refused.stored);
   EXPECT_EQ(h.pama->decisions().refusals, 1u);
-  EXPECT_TRUE(e.GhostOf(3, 0).Contains(1));
+  EXPECT_TRUE(e.ghosts().Contains(e.SubclassIndex(3, 0), 1));
 
   // The key re-misses: the ghost hit builds class 3's incoming value above
   // the idle donor's zero outgoing value, so the retry is admitted via a
@@ -160,9 +160,9 @@ TEST(PamaPolicyTest, GhostCapacityCoversTrackedSegments) {
   // The engine must size ghost lists to at least (m+1) segments so the
   // incoming-value estimate sees the whole receiving region.
   Harness h(4096);
-  const auto& ghost = h.engine->GhostOf(3, 0);
   // m = 2 -> 3 segments x 2 slots = 6 entries minimum.
-  EXPECT_GE(ghost.capacity(), 6u);
+  const CacheEngine& e = *h.engine;
+  EXPECT_GE(e.ghosts().capacity(e.SubclassIndex(3, 0)), 6u);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ std::string GetsBlock(net::CacheService& service, const std::string& key) {
 struct EngineShape {
   std::vector<std::size_t> slabs;
   std::vector<std::size_t> items;
-  std::vector<std::vector<GhostList::Evicted>> ghosts;
+  std::vector<std::vector<GhostLists::Evicted>> ghosts;
 
   bool operator==(const EngineShape& o) const {
     if (slabs != o.slabs || items != o.items) return false;
@@ -143,7 +143,8 @@ EngineShape ShapeOf(const CacheEngine& engine) {
     for (SubclassId s = 0; s < bands; ++s) {
       shape.slabs.push_back(engine.pool().SlabCount(c, s));
       shape.items.push_back(engine.SubclassItemCount(c, s));
-      shape.ghosts.push_back(engine.GhostOf(c, s).SnapshotOldestFirst());
+      shape.ghosts.push_back(
+          engine.ghosts().SnapshotOldestFirst(engine.SubclassIndex(c, s)));
     }
   }
   return shape;
