@@ -315,8 +315,7 @@ int Main(int argc, char** argv) {
     persist::PersistConfig pcfg;
     pcfg.data_dir = data_dir.path();
     persist::Persister persister(*service, pcfg);
-    const persist::RecoveryReport report = persister.Recover();
-    recovered_items = report.items_recovered;
+    recovered_items = persister.Recover().items_recovered;
     Rng continued = stream;
     const auto rows = Replay("warm", *service, p, continued, all_rows);
     runs.push_back(Summarize("warm", rows, baseline, p.threshold));

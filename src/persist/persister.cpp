@@ -72,12 +72,13 @@ RecoveryReport Persister::Recover() {
 
   const std::int64_t now_unix_ns = service_.UnixNsOfTime(service_.NowNs());
   RecoveryReport report;
+  Superseded superseded;
   wals_.clear();
   wals_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
     const ShardRestoreState st =
         RecoverShardState(dir, i, shards, now_unix_ns, &report);
-    service_.RestoreShard(i, st);
+    service_.RestoreShard(i, st, superseded);
     auto wal = std::make_unique<WalWriter>(dir, i);
     if (!wal->Open(st.next_gen, st.next_seq)) {
       throw std::runtime_error(dir + "/" + WalFileName(i, st.next_gen) +
@@ -88,6 +89,7 @@ RecoveryReport Persister::Recover() {
   }
   recovery_ = report;
   enabled_.store(true, std::memory_order_release);
+  report.superseded = std::move(superseded);
   return report;
 }
 

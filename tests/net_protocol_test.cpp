@@ -471,6 +471,35 @@ TEST(ConnectionTest, CasStaleUniqueRoundTrip) {
             "VALUE c 5 3\r\nnew\r\nEND\r\n");
 }
 
+TEST(ConnectionTest, RefusedStoreDropsTheOldValue) {
+  // A value larger than the largest slot (32 KiB by default) passes the
+  // wire limit but is refused with NOT_STORED. The key's older value must
+  // not stay served afterwards: the key misses, for every storage verb.
+  auto service = MakeService();
+  Connection conn(*service);
+  const std::string big(40 * 1024, 'x');
+  const std::string head = " k 0 0 " + std::to_string(big.size());
+  for (const char* verb : {"set", "replace", "append", "prepend"}) {
+    auto [out, open] = RunStream(conn, "set k 0 0 3\r\nold\r\n" +
+                                           std::string(verb) + head + "\r\n" +
+                                           big + "\r\nget k\r\n");
+    EXPECT_TRUE(open);
+    EXPECT_EQ(out, "STORED\r\nNOT_STORED\r\nEND\r\n") << verb;
+    conn.ConsumeOutput(conn.pending_output().size());
+  }
+  RunStream(conn, "set k 0 0 3\r\nold\r\ngets k\r\n");
+  const std::string out1(conn.pending_output());
+  const std::size_t ustart = out1.find("VALUE k 0 3 ");
+  ASSERT_NE(ustart, std::string::npos) << out1;
+  const std::string unique =
+      out1.substr(ustart + 12, out1.find('\r', ustart) - ustart - 12);
+  conn.ConsumeOutput(conn.pending_output().size());
+  auto [out2, open] = RunStream(
+      conn, "cas" + head + " " + unique + "\r\n" + big + "\r\nget k\r\n");
+  EXPECT_TRUE(open);
+  EXPECT_EQ(out2, "NOT_STORED\r\nEND\r\n");
+}
+
 TEST(ConnectionTest, SeededMutationFuzzNeverCrashes) {
   // Start from a valid stream, then corrupt it: byte flips, insertions
   // and deletions at random positions, fed in random chunk sizes. Unlike
