@@ -1159,6 +1159,25 @@ TEST_F(ServerTest, ReapSweepIsBatchBoundedUnderTenThousandExpired) {
   EXPECT_EQ(Stat(stats, "bytes"), 0u);  // reaped bytes credited back
 }
 
+TEST_F(ServerTest, ReapExpiresWhicheverKeyTheNodesHandleHolds) {
+  // Wheel nodes are filed per item handle. b takes the handle a freed, at
+  // the deadline a's node already has pending, so it files none and that
+  // node must reap b. c is on a handle without a node and files its own.
+  StartServer("memcached", 1, /*shards=*/1);
+  auto client = Connect();
+  ASSERT_TRUE(client.Set("a", 1, "v", 60));
+  ASSERT_TRUE(client.Delete("a"));
+  ASSERT_TRUE(client.Set("b", 1, "v", 60));
+  ASSERT_TRUE(client.Set("c", 1, "v", 60));
+  EXPECT_EQ(service_->ExpiryNodeCount(), 2u);
+
+  clock_.Advance(62s);
+  EXPECT_EQ(service_->ReapExpired(1'000), 2u);
+  EXPECT_EQ(service_->ItemCount(), 0u);
+  EXPECT_EQ(service_->ExpiryNodeCount(), 0u);
+  EXPECT_EQ(Stat(client.Stats(), "reclaimed"), 2u);
+}
+
 TEST_F(ServerTest, BackgroundReapTimerSweepsOnClockAdvance) {
   scfg_.reap_interval_ms = 1'000;
   scfg_.reap_batch = 64;
