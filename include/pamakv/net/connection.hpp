@@ -120,6 +120,11 @@ class Connection {
   /// is already torn down, the Connection object waits for the batch.
   bool close_deferred = false;
 
+  /// The epoll interest mask the serving loop last armed for the fd
+  /// (Register adds it with EPOLLIN), so an unchanged mask skips the
+  /// epoll_ctl.
+  std::uint32_t armed_events = 0;
+
   // ---- lifecycle state (owned by the serving loop; see server.cpp) ----
   /// A request is in flight: a partial command line, a store awaiting its
   /// payload, an oversized payload still being swallowed, or a batch

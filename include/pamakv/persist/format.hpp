@@ -71,6 +71,11 @@ inline constexpr std::size_t kMaxFramePayload = 2u * 1024 * 1024;
 /// classified as corruption, not a tail.
 inline constexpr std::size_t kCorruptionScanWindow = 4u * 1024 * 1024;
 
+/// Reads the whole file open at `fd` into one buffer sized by fstat(2),
+/// with pread from offset 0. False (errno set, `out` untouched) when fstat
+/// or a read fails, or the file ends before its fstat size.
+[[nodiscard]] bool ReadWholeFile(int fd, FileBytes* out);
+
 /// Appends [len][payload][crc] to `out`.
 void AppendFrame(std::vector<char>& out, std::string_view payload);
 
@@ -172,7 +177,8 @@ void EncodeSnapGhosts(std::vector<char>& payload, std::uint32_t stack_index,
                                     std::vector<GhostEntry>* out);
 
 void EncodeSnapItem(std::vector<char>& payload, const SnapItem& item);
-[[nodiscard]] bool DecodeSnapItem(std::string_view payload, SnapItem* out);
+/// Views into `payload`; leaves `out->id` to the caller.
+[[nodiscard]] bool DecodeSnapItem(std::string_view payload, RestoredItem* out);
 
 struct SnapFooter {
   std::uint64_t item_count = 0;  ///< kSnapItem records in this file

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,9 +36,8 @@ struct WalStore {
   std::uint64_t cas = 0;
 };
 
-/// One item in a snapshot (owning strings: snapshots are serialized in
-/// batches after the capture lock is dropped, and recovery materializes
-/// them long after the file buffer is gone).
+/// One item the snapshot writer serializes (owning strings: snapshots are
+/// serialized in batches after the capture lock is dropped).
 struct SnapItem {
   std::string key;
   std::string value;
@@ -48,6 +48,40 @@ struct SnapItem {
   /// Global LRU position: snapshot items carry the engine access clock,
   /// WAL-replayed items carry sequence numbers offset far above it, so
   /// sorting by `order` ascending reproduces coldest-to-hottest.
+  std::uint64_t order = 0;
+};
+
+/// One file's bytes, read whole by ReadWholeFile. The buffer is allocated
+/// once and never moves: moving a FileBytes keeps every view into it valid.
+class FileBytes {
+ public:
+  FileBytes() = default;
+  /// `size` uninitialized bytes, for the read to fill.
+  explicit FileBytes(std::size_t size)
+      : data_(std::make_unique_for_overwrite<char[]>(size)), size_(size) {}
+
+  [[nodiscard]] char* data() noexcept { return data_.get(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::string_view view() const noexcept {
+    return {data_.get(), size_};
+  }
+
+ private:
+  std::unique_ptr<char[]> data_;
+  std::size_t size_ = 0;
+};
+
+/// One recovered item: its newest state after replay, viewing the bytes of
+/// the snapshot or log record it came from (ShardRestoreState::files).
+struct RestoredItem {
+  KeyId id = 0;  ///< HashStringKey(key), computed once by the replay
+  std::string_view key;
+  std::string_view value;
+  std::uint32_t flags = 0;
+  std::int64_t expire_unix_ns = 0;
+  std::int64_t stored_unix_ns = 0;
+  std::uint64_t cas = 0;
+  /// Global LRU position, as SnapItem::order.
   std::uint64_t order = 0;
 };
 
@@ -86,8 +120,11 @@ struct ShardRestoreState {
   std::uint32_t num_bands = 0;
   std::vector<std::uint64_t> slab_counts;
   std::vector<std::vector<GhostEntry>> ghosts;
-  /// Sorted by SnapItem::order ascending (coldest first).
-  std::vector<SnapItem> items;
+  /// The shard's snapshot and log files, each read once. `items` view
+  /// into them, so the state must outlive its RestoreShard call.
+  std::vector<FileBytes> files;
+  /// Sorted by order ascending (coldest first).
+  std::vector<RestoredItem> items;
   /// Keys replay found deleted or dead on boot.
   Superseded dropped;
   std::uint64_t cas_counter = 0;

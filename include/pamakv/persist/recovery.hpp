@@ -50,8 +50,9 @@ struct RecoveryReport {
 /// whose TTL or flush epoch passed during downtime; `shard_count` is
 /// validated against snapshot headers (key->shard routing depends on
 /// it, so a changed topology is a clean refusal, not silent misrouting).
-/// Throws CorruptionError per the contract above and std::runtime_error
-/// for plain I/O failures reading the directory.
+/// Each file is read once; the returned state owns those bytes and its
+/// items view into them. Throws CorruptionError per the contract above
+/// and std::runtime_error for plain I/O failures reading the directory.
 [[nodiscard]] ShardRestoreState RecoverShardState(const std::string& dir,
                                                   std::size_t shard,
                                                   std::size_t shard_count,

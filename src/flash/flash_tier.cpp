@@ -617,28 +617,15 @@ void FlashTier::Recover(const AdmitFn& admit) {
           config_.dir + "/" + SegmentFileName(shard, seg_id);
       const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
       if (fd < 0) continue;
-      struct stat sb;
-      std::string data;
-      if (::fstat(fd, &sb) == 0 && sb.st_size >= 0) {
-        data.resize(static_cast<std::size_t>(sb.st_size));
-        std::size_t got = 0;
-        while (got < data.size()) {
-          const ssize_t n = ::pread(fd, data.data() + got, data.size() - got,
-                                    static_cast<off_t>(got));
-          if (n <= 0) {
-            if (n < 0 && errno == EINTR) continue;
-            break;
-          }
-          got += static_cast<std::size_t>(n);
-        }
-        if (got != data.size()) data.clear();
-      }
+      // Read once, then scanned and decoded in place.
+      persist::FileBytes data;
+      const bool readable = persist::ReadWholeFile(fd, &data);
       // First pass: the whole file must scan clean. One bad frame —
       // torn tail from a crash (segments are never fsynced) or rot —
       // drops the segment wholesale: corrupt segments are never served.
       std::vector<std::pair<std::uint64_t, std::string_view>> frames;
-      persist::FrameScanner scanner(data);
-      bool clean = !data.empty() || sb.st_size == 0;
+      persist::FrameScanner scanner(data.view());
+      bool clean = readable;
       for (;;) {
         const std::uint64_t off = scanner.offset();
         std::string_view payload;
@@ -659,7 +646,7 @@ void FlashTier::Recover(const AdmitFn& admit) {
       Segment seg;
       seg.id = seg_id;
       seg.fd = fd;
-      seg.bytes = static_cast<std::uint64_t>(sb.st_size);
+      seg.bytes = data.size();
       seg.sealed = true;
       for (const auto& [off, payload] : frames) {
         Record rec;

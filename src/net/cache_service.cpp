@@ -936,8 +936,8 @@ void CacheService::RestoreShard(std::size_t index,
     }
   }
   const std::int64_t now = NowNs();
-  for (const persist::SnapItem& item : st.items) {
-    const KeyId id = HashStringKey(item.key);
+  for (const persist::RestoredItem& item : st.items) {
+    const KeyId id = item.id;
     const std::int64_t deadline = MonoDeadlineOf(item.expire_unix_ns);
     if (deadline != 0 && (deadline < 0 || deadline <= now)) continue;
     Record& next = shard.scratch;
@@ -961,9 +961,8 @@ void CacheService::RestoreShard(std::size_t index,
   // A newer state of a key that DRAM did not take — dead on arrival,
   // refused, or evicted by a hotter item — or a replayed delete must not
   // let an older flash copy of the key back in.
-  for (const persist::SnapItem& item : st.items) {
-    const KeyId id = HashStringKey(item.key);
-    if (!engine.Contains(id)) superseded.emplace_back(id, item.cas);
+  for (const persist::RestoredItem& item : st.items) {
+    if (!engine.Contains(item.id)) superseded.emplace_back(item.id, item.cas);
   }
   superseded.insert(superseded.end(), st.dropped.begin(), st.dropped.end());
   // Fallback Sets above may have evicted; those victims demote like any

@@ -325,6 +325,7 @@ void Server::Register(Loop& loop, int fd) {
     loop.loop.Add(fd, EPOLLIN, [this, &loop, raw](std::uint32_t events) {
       HandleEvents(loop, *raw, events);
     });
+    raw->armed_events = EPOLLIN;
     ArmLifecycleTimer(loop, *raw);
   } catch (...) {
     // Registration starved (epoll ENOMEM, allocation failure): shed the
@@ -409,11 +410,15 @@ void Server::PostProcess(Loop& loop, Connection& conn, bool open) {
   }
 
   // Interest mask: EPOLLIN unless paused, EPOLLOUT exactly while a
-  // backlog exists (a paused connection always has one).
-  loop.loop.Mod(fd, (conn.paused() ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-                        (conn.wants_write()
-                             ? static_cast<std::uint32_t>(EPOLLOUT)
-                             : 0u));
+  // backlog exists (a paused connection always has one). Re-armed only
+  // when it changes: level-triggered interest needs no refresh.
+  const std::uint32_t events =
+      (conn.paused() ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+      (conn.wants_write() ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  if (events != conn.armed_events) {
+    loop.loop.Mod(fd, events);
+    conn.armed_events = events;
+  }
   ArmLifecycleTimer(loop, conn);
 }
 

@@ -1,5 +1,9 @@
 #include "pamakv/persist/format.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -52,6 +56,29 @@ bool IsKnownRecordType(std::uint8_t tag) noexcept {
       return true;
   }
   return false;
+}
+
+bool ReadWholeFile(int fd, FileBytes* out) {
+  struct stat sb;
+  if (::fstat(fd, &sb) != 0) return false;
+  if (sb.st_size < 0) {
+    errno = EINVAL;
+    return false;
+  }
+  FileBytes bytes(static_cast<std::size_t>(sb.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + got, bytes.size() - got,
+                              static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;  // shorter than fstat said
+      return false;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  *out = std::move(bytes);
+  return true;
 }
 
 void AppendFrame(std::vector<char>& out, std::string_view payload) {
@@ -246,17 +273,15 @@ void EncodeSnapItem(std::vector<char>& payload, const SnapItem& item) {
   e.U64(item.order);
 }
 
-bool DecodeSnapItem(std::string_view payload, SnapItem* out) {
+bool DecodeSnapItem(std::string_view payload, RestoredItem* out) {
   Decoder d(payload);
   if (d.U8() != static_cast<std::uint8_t>(RecordType::kSnapItem)) return false;
-  const std::string_view key = d.Bytes();
-  const std::string_view value = d.Bytes();
-  if (!d.ok() || key.empty() || key.size() > kMaxKeyBytes ||
-      value.size() > kMaxValueBytes) {
+  out->key = d.Bytes();
+  out->value = d.Bytes();
+  if (!d.ok() || out->key.empty() || out->key.size() > kMaxKeyBytes ||
+      out->value.size() > kMaxValueBytes) {
     return false;
   }
-  out->key.assign(key.data(), key.size());
-  out->value.assign(value.data(), value.size());
   out->flags = d.U32();
   out->expire_unix_ns = d.I64();
   out->stored_unix_ns = d.I64();

@@ -2,9 +2,9 @@
 // server's request path: once a connection and the service behind it are
 // warm, the full read→parse→execute→respond cycle must not touch the heap.
 // The connection reuses its rx/tx buffers, the parser works in string_views
-// over the rx buffer, and CacheService recycles entry slots (tombstones are
-// overwritten in place, never erased), so replaying a fixed request mix
-// allocates nothing.
+// over the rx buffer, and CacheService recycles each key's record with its
+// engine item handle (the record's buffers are reused, not freed), so
+// replaying a fixed request mix allocates nothing.
 //
 // Requests are prepared as byte streams before the measured window (building
 // std::strings allocates, the connection must not).
