@@ -3,8 +3,9 @@
 // WAL-only and snapshot+tail paths, penalty-aware warm-restart fidelity
 // (per-(class,band) slab layout, ghost lists, CAS, TTL and flush epochs),
 // torn-tail truncation, mid-file-corruption refusal, bad --data-dir
-// errors, shard-topology guards, and a seeded corruption corpus
-// (bit-flip / truncate / zero-fill) pinning the three-outcome contract.
+// errors, unreadable files, shard-topology guards, and a seeded corruption
+// corpus (bit-flip / truncate / zero-fill) pinning the three-outcome
+// contract.
 // Runs under the `persist` ctest label; the ASan job runs it for UB
 // coverage of every decode path.
 
@@ -507,6 +508,31 @@ TEST_F(PersistRecoveryTest, BadDataDirIsOneCleanError) {
     ::chmod(ro.c_str(), 0500);
     EXPECT_THROW(recover_with(ro), std::runtime_error);
     ::chmod(ro.c_str(), 0700);
+  }
+}
+
+// A log that cannot be read is a plain I/O error naming the file, not a
+// corruption refusal: here shard 0's generation 1 is a directory.
+TEST_F(PersistRecoveryTest, UnreadableLogIsOneCleanIoError) {
+  TempDir dir;
+  fs::create_directory(dir.path() + "/" + WalFileName(0, 1));
+  net::CacheServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.capacity_bytes = 1ULL * 1024 * 1024;
+  net::CacheService service(cfg, [](Bytes bytes) {
+    return MakeEngine("pama", bytes, SizeClassConfig{});
+  });
+  PersistConfig pcfg;
+  pcfg.data_dir = dir.path();
+  Persister persister(service, pcfg);
+  try {
+    (void)persister.Recover();
+    FAIL() << "expected a runtime_error for an unreadable log";
+  } catch (const CorruptionError& e) {
+    FAIL() << "an I/O failure is not corruption: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              dir.path() + "/shard0-1.wal: read error during recovery");
   }
 }
 
