@@ -6,8 +6,9 @@
 // O(1) claims. The durable byte path has one bench per layer: the frame
 // CRC, a WAL store append, and a flash frame read (inline from the page
 // cache against ReadNow), and one shard's warm restart from its log. Two
-// more benches time the service under key churn: stores that evict, and
-// misses routed by ghosts. BENCH_layers.json holds the run of
+// more benches time the service under key churn (stores that evict, and
+// misses routed by ghosts), and one times a metrics scrape of the
+// service. BENCH_layers.json holds the run of
 //
 //   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead|LruStack|EngineGetSet|ServiceGetBatch|ServiceSetEvicting|ServiceGetMiss|RecoverShard'
 #include <benchmark/benchmark.h>
@@ -36,6 +37,7 @@
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/trace/generators.hpp"
 #include "pamakv/util/crc32.hpp"
+#include "pamakv/util/metrics.hpp"
 #include "pamakv/util/rng.hpp"
 #include "pamakv/util/zipf.hpp"
 
@@ -521,6 +523,43 @@ void BM_RecoverShard(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * log_bytes);
 }
 BENCHMARK(BM_RecoverShard)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One metrics scrape: registry.Snapshot() of hot-pipelined's population
+// (BM_ServiceGetBatch: 4 pama shards, 64 MiB, 200k keys) with a flash tier
+// attached, so every service series is in it. Nothing runs alongside, so
+// this is the snapshot's own cost, not its wait for shard locks.
+void BM_MetricsSnapshot(benchmark::State& state) {
+  constexpr std::uint64_t kKeys = 200'000;
+  const ScratchDir dir;
+  flash::FlashConfig fcfg;
+  fcfg.dir = dir.path();
+  fcfg.shards = 4;
+  fcfg.io_thread = false;
+  flash::FlashTier tier(fcfg);
+  net::CacheServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.capacity_bytes = 64ULL << 20;
+  net::CacheService service(cfg, [](Bytes bytes) {
+    return MakeEngine("pama", bytes, SizeClassConfig{});
+  });
+  service.AttachFlash(&tier);
+  std::string value;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    value.assign(16 + Mix64(k ^ 0x6b6579ULL) % 128, 'v');
+    service.Store(net::StoreVerb::kSet, "h:" + std::to_string(k),
+                  ChurnPenalty(k), 0, value);
+  }
+  util::MetricsRegistry registry;
+  service.RegisterMetrics(registry);
+  std::size_t series = 0;
+  for (auto _ : state) {
+    const util::MetricsSnapshot snap = registry.Snapshot();
+    series = snap.samples.size();
+    benchmark::DoNotOptimize(snap.samples.data());
+  }
+  state.counters["series"] = static_cast<double>(series);
+}
+BENCHMARK(BM_MetricsSnapshot)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pamakv
