@@ -7,10 +7,11 @@
 //
 // With PAMAKV_FAILPOINTS off every wrapper is a direct inline forward —
 // no extra symbols, no extra work (CI's nm check holds the line). With it
-// on, each wrapper consults a named failpoint first: an errno hit fails
-// the call before it reaches the kernel; a short-I/O hit truncates the
-// transfer length, modeling partial reads/writes. Point names are listed
-// in DESIGN.md §9.
+// on, each wrapper consults a named failpoint first through
+// util::InjectIo: an errno hit fails the call before it reaches the
+// kernel; a short-I/O hit truncates the transfer length, modeling partial
+// reads/writes; a sleep hit delays the call. Point names are listed in
+// DESIGN.md §9.
 #pragma once
 
 #include <sys/epoll.h>
@@ -26,79 +27,29 @@
 
 namespace pamakv::net::sys {
 
-#if PAMAKV_FAILPOINTS
-namespace detail {
-
-/// Errno-only sites: true => the caller should return -1 with errno set.
-inline bool Inject(util::FailPoint& fp) {
-  const auto hit = fp.Evaluate();
-  if (hit && hit->action == util::FailPointSpec::Action::kErrno) {
-    errno = hit->err;
-    return true;
-  }
-  return false;
-}
-
-/// Transfer sites: additionally caps *len on a short-I/O hit.
-inline bool Inject(util::FailPoint& fp, std::size_t* len) {
-  const auto hit = fp.Evaluate();
-  if (!hit) return false;
-  if (hit->action == util::FailPointSpec::Action::kErrno) {
-    errno = hit->err;
-    return true;
-  }
-  if (hit->action == util::FailPointSpec::Action::kShortIo &&
-      hit->cap < *len) {
-    *len = static_cast<std::size_t>(hit->cap);
-  }
-  return false;
-}
-
-}  // namespace detail
-
-#define PAMAKV_SYS_FAILPOINT(var, point_name)    \
-  static ::pamakv::util::FailPoint& var =        \
-      ::pamakv::util::FailPoints::Get(point_name)
-#endif  // PAMAKV_FAILPOINTS
-
 inline int Socket(int domain, int type, int protocol) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.socket");
-  if (detail::Inject(fp)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.socket", nullptr);
   return ::socket(domain, type, protocol);
 }
 
 inline int EventFd(unsigned int initval, int flags) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.eventfd");
-  if (detail::Inject(fp)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.eventfd", nullptr);
   return ::eventfd(initval, flags);
 }
 
 inline int Accept4(int fd, sockaddr* addr, socklen_t* addrlen, int flags) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.accept4");
-  if (detail::Inject(fp)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.accept4", nullptr);
   return ::accept4(fd, addr, addrlen, flags);
 }
 
 inline int EpollWait(int epfd, epoll_event* events, int maxevents,
                      int timeout) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.epoll_wait");
-  if (detail::Inject(fp)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.epoll_wait", nullptr);
   return ::epoll_wait(epfd, events, maxevents, timeout);
 }
 
 inline ssize_t Read(int fd, void* buf, std::size_t len) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.read");
-  if (detail::Inject(fp, &len)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.read", &len);
   return ::read(fd, buf, len);
 }
 
@@ -106,10 +57,7 @@ inline ssize_t Read(int fd, void* buf, std::size_t len) {
 /// comment); failpoint "net.writev" covers both Write and Writev — they
 /// are the same seam to the caller.
 inline ssize_t Write(int fd, const void* buf, std::size_t len) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.writev");
-  if (detail::Inject(fp, &len)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.writev", &len);
   iovec iov{const_cast<void*>(buf), len};
   msghdr msg{};
   msg.msg_iov = &iov;
@@ -119,10 +67,9 @@ inline ssize_t Write(int fd, const void* buf, std::size_t len) {
 
 inline ssize_t Writev(int fd, const iovec* iov, int iovcnt) {
 #if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.writev");
   {
     std::size_t cap = static_cast<std::size_t>(-1);
-    if (detail::Inject(fp, &cap)) return -1;
+    PAMAKV_FAILPOINT_IO("net.writev", &cap);
     if (cap != static_cast<std::size_t>(-1) && iovcnt > 0) {
       // Short write: send a capped slice of the first buffer only.
       iovec first = iov[0];
@@ -141,18 +88,12 @@ inline ssize_t Writev(int fd, const iovec* iov, int iovcnt) {
 }
 
 inline ssize_t Send(int fd, const void* buf, std::size_t len, int flags) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.send");
-  if (detail::Inject(fp, &len)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.send", &len);
   return ::send(fd, buf, len, flags);
 }
 
 inline ssize_t Recv(int fd, void* buf, std::size_t len, int flags) {
-#if PAMAKV_FAILPOINTS
-  PAMAKV_SYS_FAILPOINT(fp, "net.recv");
-  if (detail::Inject(fp, &len)) return -1;
-#endif
+  PAMAKV_FAILPOINT_IO("net.recv", &len);
   return ::recv(fd, buf, len, flags);
 }
 

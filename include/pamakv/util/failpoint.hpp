@@ -4,9 +4,10 @@
 // A failpoint is a named site in production code that, when armed, makes
 // the operation there fail the way the kernel or the allocator would:
 // return an errno, truncate an I/O to a byte cap, or throw
-// std::bad_alloc. Tests (and the chaos soak) arm points by name with a
-// spec string; the registry counts every trip so `stats` can report what
-// the storm actually did.
+// std::bad_alloc. Every syscall and file-I/O seam (net/syscall.hpp,
+// persist/io.hpp, flash/io.hpp) goes through one helper, InjectIo. Tests
+// (and the chaos soak) arm points by name with a spec string; the registry
+// counts every trip so `stats` can report what the storm actually did.
 //
 // Spec grammar — `what[@when]`:
 //
@@ -34,7 +35,9 @@
 #if PAMAKV_FAILPOINTS
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -140,7 +143,41 @@ class FailPoints {
   static std::uint64_t Trips(std::string_view name);
 };
 
+/// The seam every syscall and file-I/O wrapper consults before its call.
+/// An errno hit returns true: the wrapper fails with -1 and errno set. A
+/// short-io hit caps *len (calls with a length; nullptr otherwise) and a
+/// sleep hit delays the call; either way the call then proceeds.
+inline bool InjectIo(FailPoint& fp, std::size_t* len = nullptr) {
+  const auto hit = fp.Evaluate();
+  if (!hit) return false;
+  switch (hit->action) {
+    case FailPointSpec::Action::kErrno:
+      errno = hit->err;
+      return true;
+    case FailPointSpec::Action::kShortIo:
+      if (len != nullptr && hit->cap < *len) {
+        *len = static_cast<std::size_t>(hit->cap);
+      }
+      return false;
+    case FailPointSpec::Action::kSleep:
+      std::this_thread::sleep_for(std::chrono::milliseconds(hit->sleep_ms));
+      return false;
+    default:
+      return false;
+  }
+}
+
 }  // namespace pamakv::util
+
+/// I/O injection site: consults the named point through InjectIo and
+/// returns -1 from the enclosing wrapper on an errno hit. `len` is a
+/// std::size_t* to the call's length, or nullptr.
+#define PAMAKV_FAILPOINT_IO(point_name, len)                               \
+  do {                                                                     \
+    static ::pamakv::util::FailPoint& pamakv_fp_ =                         \
+        ::pamakv::util::FailPoints::Get(point_name);                       \
+    if (::pamakv::util::InjectIo(pamakv_fp_, len)) return -1;              \
+  } while (0)
 
 /// Injection site for allocation seams: throws std::bad_alloc when the
 /// named point fires with the oom action.
@@ -178,6 +215,10 @@ class FailPoints {
   } while (0)
 
 #else  // !PAMAKV_FAILPOINTS
+
+#define PAMAKV_FAILPOINT_IO(point_name, len) \
+  do {                                       \
+  } while (0)
 
 #define PAMAKV_FAILPOINT_OOM(point_name) \
   do {                                   \
