@@ -163,7 +163,7 @@ RunRow Replay(const BenchParams& p, Bytes capacity, double fraction,
     }
   }
 
-  const net::ServiceCounters counters = service.TotalCounters();
+  const net::ServiceCounters counters = service.Totals().counters;
   row.flash_hits = counters.flash_hits;
   row.flash_penalty_saved_us = counters.flash_penalty_saved_us;
   if (tier != nullptr) {

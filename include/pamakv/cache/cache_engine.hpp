@@ -85,12 +85,10 @@ class CacheEngine {
   /// subclass the item would occupy.
   GetResult Get(KeyId key, Bytes size, MicroSecs miss_penalty);
 
-  /// SET of an item with the given size and per-key miss penalty.
-  /// `expire_at_ns` is the monotonic-ns deadline recorded on the item
-  /// (0 = never); the engine stores it but does not enforce it — the
-  /// service layer owns the clock and calls Expire()/Touch().
-  SetResult Set(KeyId key, Bytes size, MicroSecs penalty,
-                std::int64_t expire_at_ns = 0);
+  /// SET of an item with the given size and per-key miss penalty. The
+  /// engine keeps no deadline: the service layer owns the clock and calls
+  /// Expire() once an item's time has passed.
+  SetResult Set(KeyId key, Bytes size, MicroSecs penalty);
 
   /// DELETE. Returns true if the key was cached.
   bool Del(KeyId key);
@@ -103,10 +101,10 @@ class CacheEngine {
   /// key was cached.
   bool Expire(KeyId key, bool background);
 
-  /// Updates an item's deadline and promotes it (memcached `touch`).
-  /// Returns false if the key is not cached. Does not charge get/set
-  /// stats; the service layer accounts touch hits/misses itself.
-  bool Touch(KeyId key, std::int64_t expire_at_ns);
+  /// Promotes an item (memcached `touch`; the service layer keeps the
+  /// deadline). Returns false if the key is not cached. Does not charge
+  /// get/set stats; the service layer accounts touch hits/misses itself.
+  bool Touch(KeyId key);
 
   /// Warm-restart insert: like Set's fresh path but without stats,
   /// ghost recording, or policy MakeRoom — only free slots and free
@@ -115,8 +113,7 @@ class CacheEngine {
   /// reproducing the saved LRU order. Returns false (no state changed)
   /// when the key is already cached or no free slot exists; the caller
   /// falls back to a regular Set.
-  bool RestoreItem(KeyId key, Bytes size, MicroSecs penalty,
-                   std::int64_t expire_at_ns);
+  bool RestoreItem(KeyId key, Bytes size, MicroSecs penalty);
 
   [[nodiscard]] bool Contains(KeyId key) const noexcept {
     return index_.Find(key) != kInvalidHandle;

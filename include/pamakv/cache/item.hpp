@@ -23,12 +23,7 @@ struct Item {
   /// Logical time (access count) of the last touch; used by the Facebook
   /// age-balancing policy and for LRU-age diagnostics.
   AccessClock last_access = 0;
-  /// Wall-clock deadline in monotonic nanoseconds; 0 = never expires.
-  /// The engine stores it (so Touch/overwrite keep one source of truth)
-  /// but never reads the clock itself — the service layer decides when a
-  /// deadline has passed and calls Expire().
-  std::int64_t expire_at_ns = 0;
-  /// Whether the item was GET-hit since the store that set its deadline;
+  /// Whether the item was GET-hit since it was stored;
   /// distinguishes memcached's expired_unfetched from plain expired.
   bool fetched = false;
 };

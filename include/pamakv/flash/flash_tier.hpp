@@ -117,6 +117,22 @@ struct ShardStats {
   std::uint64_t segments_deleted = 0;
   std::uint64_t recovered_items = 0;
   std::uint64_t corrupt_segments_dropped = 0;
+
+  ShardStats& operator+=(const ShardStats& o) noexcept {
+    demotes += o.demotes;
+    append_failures += o.append_failures;
+    reads += o.reads;
+    cached_reads += o.cached_reads;
+    read_failures += o.read_failures;
+    gc_runs += o.gc_runs;
+    gc_rewrites += o.gc_rewrites;
+    gc_drops += o.gc_drops;
+    segments_created += o.segments_created;
+    segments_deleted += o.segments_deleted;
+    recovered_items += o.recovered_items;
+    corrupt_segments_dropped += o.corrupt_segments_dropped;
+    return *this;
+  }
 };
 
 /// Handle for one asynchronous flash read. Carries a dup'd fd so the

@@ -36,6 +36,7 @@
 #include "pamakv/cache/sharded_cache.hpp"
 #include "pamakv/flash/flash_tier.hpp"
 #include "pamakv/persist/records.hpp"
+#include "pamakv/policy/pama.hpp"
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/metrics.hpp"
 
@@ -51,8 +52,6 @@ struct CacheServiceConfig {
   /// Penalty charged to a GET miss for a key the server has never seen
   /// (known keys reuse their stored penalty).
   MicroSecs default_penalty_us = 1'000;
-  /// Size used to route a never-seen key's miss to a ghost list.
-  Bytes default_size = 64;
   /// Clock expiry deadlines are computed and checked against. nullptr =>
   /// the process SteadyClock; tests inject a FakeClock and replay exact
   /// boundaries.
@@ -61,10 +60,6 @@ struct CacheServiceConfig {
   /// used to convert absolute exptimes (> 30 days) to monotonic
   /// deadlines. 0 => time(nullptr) at construction; tests pin it.
   std::int64_t unix_now_s = 0;
-  /// Timer-wheel tick. One second (memcached's clock granularity) bounds
-  /// background-reap latency to ~1s past the deadline; access-path expiry
-  /// is exact regardless.
-  std::int64_t expiry_tick_ns = 1'000'000'000;
 };
 
 /// Storage-family verbs, in CacheService terms (protocol Verb maps onto
@@ -147,6 +142,39 @@ struct ServiceCounters {
     flash_penalty_saved_us += o.flash_penalty_saved_us;
     return *this;
   }
+};
+
+/// Everything `stats` and the service's pamakv_* series report, summed
+/// over shards by CacheService::Totals() in one pass that locks each
+/// shard once. The vectors are filled only for the series (Totals(true)),
+/// so the `stats` path gathers without allocating.
+struct ServiceTotals {
+  CacheStats stats;
+  ServiceCounters counters;
+  std::uint64_t items = 0;        ///< live items (memcached curr_items)
+  std::uint64_t collisions = 0;   ///< hash collisions resolved
+  std::uint64_t wheel_nodes = 0;  ///< timer-wheel nodes, live + stale
+  std::uint64_t free_slabs = 0;
+  std::uint64_t total_slabs = 0;
+  /// Penalty bands per class; the per-(class, band) vectors below are
+  /// indexed class * bands + band.
+  std::uint32_t bands = 0;
+  std::vector<std::uint64_t> slabs;
+  std::vector<std::uint64_t> subclass_items;
+  std::vector<std::uint64_t> ghost_hits;  ///< receiving-segment ghost hits
+  /// PAMA value flow per shard, and band-to-band slab migrations
+  /// (row-major by source band); both empty unless the shards run PAMA.
+  std::vector<PamaPolicy::ValueFlow> pama_flow;
+  std::vector<std::uint64_t> migration_flow;
+  /// The flash tier's totals; `flash_demotes` (per band) is empty, and
+  /// the rest zero, with no tier attached.
+  flash::ShardStats flash;
+  std::uint64_t flash_items = 0;
+  std::uint64_t flash_bytes = 0;       ///< segment bytes, live + dead
+  std::uint64_t flash_live_bytes = 0;
+  std::uint64_t flash_segments = 0;
+  std::uint64_t demote_drops = 0;      ///< demotions lost to allocation
+  std::vector<std::uint64_t> flash_demotes;
 };
 
 class CacheService {
@@ -234,44 +262,42 @@ class CacheService {
                                          std::int64_t now_ns) const noexcept;
 
   /// Appends the full "STAT name value\r\n"* + "END\r\n" payload for the
-  /// `stats` command: CacheStats::Snapshot() totals plus service gauges
-  /// and, when registered, the extra appender's lines (the Server wires
-  /// its connection/lifecycle counters in here). With detail=true (the
-  /// `stats detail` command) and a registry wired via RegisterMetrics,
-  /// every metrics-registry series is appended as a STAT line, rendered
-  /// from the same snapshot type the Prometheus endpoint serves.
+  /// `stats` command: the Totals() counters and gauges plus, when
+  /// registered, the extra appender's lines (the Server wires its
+  /// connection/lifecycle counters in here). With detail=true (the `stats
+  /// detail` command) and a registry wired via RegisterMetrics, every
+  /// metrics-registry series is appended as a STAT line, rendered from
+  /// the same snapshot type the Prometheus endpoint serves.
   void AppendStats(std::vector<char>& out, bool detail = false) const;
 
-  /// Wires the service's introspection into `registry` as callback
-  /// gauges, evaluated under the shard locks at snapshot time so the
-  /// request hot path never touches a metric it does not already own:
+  /// Registers the service's collector in `registry`: at snapshot time it
+  /// gathers Totals() (one lock of each shard, so the request hot path
+  /// never touches a metric it does not already own) and appends
   ///   pamakv_slabs{class,band}            per-subclass slab count
   ///   pamakv_subclass_items{class,band}   items per subclass
   ///   pamakv_ghost_hits{class,band}       ghost receiving-segment hits
-  ///   pamakv_free_slabs / pamakv_total_slabs
-  ///   pamakv_<stat> for every CacheStats counter (summed over shards)
-  /// and, when the shards run PamaPolicy, the value-flow telemetry:
+  ///   pamakv_free_slabs / pamakv_total_slabs / pamakv_curr_items
+  ///   pamakv_<stat> for every CacheStats and ServiceCounters counter
+  ///   pamakv_expiry_wheel_nodes
+  /// and, with a flash tier attached, pamakv_flash_demotes{band} and the
+  /// tier's occupancy and read gauges; when the shards run PamaPolicy,
+  /// the value-flow telemetry:
   ///   pamakv_pama_decisions_total{shard}, pamakv_pama_outgoing_value_sum,
   ///   pamakv_pama_incoming_value_sum, pamakv_pama_migration_benefit_sum,
   ///   pamakv_pama_last_{outgoing,incoming}_value{shard} and the
   ///   band-to-band matrix pamakv_pama_migration_flow_total{from,to}.
-  /// Keeps a pointer to `registry` for `stats detail`.
+  /// Registering again replaces the collector. Keeps a pointer to
+  /// `registry` for `stats detail`.
   void RegisterMetrics(util::MetricsRegistry& registry);
 
   /// Registers (or clears, with nullptr) an extra "STAT ..." appender run
   /// inside AppendStats before the END line. Thread-safe.
   void SetExtraStats(std::function<void(std::vector<char>&)> appender);
 
-  /// Aggregated engine stats across shards (locks each shard briefly).
-  [[nodiscard]] CacheStats TotalStats() const;
-  /// Aggregated service-level command counters across shards.
-  [[nodiscard]] ServiceCounters TotalCounters() const;
-  /// Timer-wheel nodes pending across shards (live + stale).
-  [[nodiscard]] std::uint64_t ExpiryNodeCount() const;
-  /// Live items across shards (= memcached curr_items).
-  [[nodiscard]] std::uint64_t ItemCount() const;
-  /// Hash collisions resolved across shards (expected 0 in real runs).
-  [[nodiscard]] std::uint64_t CollisionsResolved() const;
+  /// The service's counters and gauges summed over shards, each shard
+  /// locked once; with `series`, also the per-(class, band), per-band and
+  /// per-shard vectors.
+  [[nodiscard]] ServiceTotals Totals(bool series = false) const;
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
@@ -351,9 +377,9 @@ class CacheService {
   /// Wires the flash tier and registers a per-shard eviction listener on
   /// every engine, so capacity evictions queue for demotion. The tier
   /// must be sharded exactly like the service. Wire it before serving
-  /// traffic and before RegisterMetrics (the flash gauges register only
-  /// when a tier is attached); there is no synchronization with in-flight
-  /// requests.
+  /// traffic; there is no synchronization with in-flight requests. The
+  /// flash lines of `stats` and the flash series appear once a tier is
+  /// attached.
   void AttachFlash(flash::FlashTier* tier);
 
   [[nodiscard]] bool flash_enabled() const noexcept { return flash_ != nullptr; }
@@ -605,20 +631,8 @@ class CacheService {
   bool ServeFromFlashLocked(Shard& shard, BatchOp& op,
                             const flash::Record& rec, std::int64_t now);
 
-  /// Per-subclass sum of a counter across shards, under each shard's lock.
-  template <typename Fn>
-  [[nodiscard]] double SumOverShards(Fn fn) const {
-    double total = 0.0;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      total += fn(*shard->engine);
-    }
-    return total;
-  }
-
   std::vector<std::unique_ptr<Shard>> shards_;
   MicroSecs default_penalty_us_;
-  Bytes default_size_;
   util::Clock* clock_;  ///< never null (defaults to the SteadyClock)
   /// Anchors for absolute-exptime conversion: unix_base_s_ is the unix
   /// time that the clock read mono_base_ns_ (both captured at

@@ -11,9 +11,9 @@
 // kMaxRequestBytes and a malformed or oversized request closes the socket.
 //
 // Snapshots are taken on the loop thread at response- or dump-time; the
-// registry's callback gauges therefore run on this thread and must take
-// their own locks (CacheService registers gauges that lock the shard they
-// read — see CacheService::RegisterMetrics).
+// registry's collectors therefore run on this thread and take their own
+// locks (CacheService's collector locks each shard once per snapshot —
+// see CacheService::RegisterMetrics).
 #pragma once
 
 #include <chrono>

@@ -90,9 +90,12 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Wires per-verb service-time histograms (pamakv_service_time_us{verb}),
-  /// the tx-flush histogram (pamakv_tx_flush_us) and connection gauges
-  /// into `registry`. Call before Start(); `registry` must outlive the
-  /// server. Connections accepted afterwards record into the histograms.
+  /// the tx-flush histogram (pamakv_tx_flush_us) and a collector of the
+  /// connection gauges (pamakv_curr_connections, pamakv_total_connections)
+  /// into `registry`; wiring again replaces the collector. Call before
+  /// Start(); `registry` must outlive the server, and is not snapshotted
+  /// once the server is gone. Connections accepted afterwards record into
+  /// the histograms.
   void EnableMetrics(util::MetricsRegistry& registry);
 
   /// Binds, listens and spawns the loop threads. Throws std::system_error

@@ -1,27 +1,26 @@
-// util/metrics: a lock-cheap metrics registry for live observability.
+// util/metrics: the metrics registry behind `stats detail`, the
+// Prometheus endpoint and the CSV dump.
 //
-// Three instrument kinds, all safe to update from any thread with no lock
-// on the hot path:
+// It holds two things, in registration order:
 //
-//  * Counter   — monotonic; increments go to one of a fixed set of
-//                cache-line-padded stripes picked by thread id, so
-//                concurrent writers do not bounce a shared line.
-//  * Gauge     — a level (may go down). Two flavors: a settable atomic,
-//                and a callback evaluated at snapshot time (for values
-//                derived from state behind existing locks, e.g. per-shard
-//                engine introspection — the hot path never touches them).
-//  * Histogram — log-spaced buckets over [min, max] (same bucket math as
-//                util/histogram.hpp's LogHistogram) with one relaxed
-//                atomic per bucket plus count/sum, built for latency
-//                recording: Observe() is two relaxed fetch_adds and never
-//                allocates, which keeps the zero-steady-state-alloc
-//                harness green.
+//  * Histograms — log-spaced buckets over [min, max] (same bucket math as
+//    util/histogram.hpp's LogHistogram) with one relaxed atomic per
+//    bucket plus count/sum, built for latency recording: Observe() is two
+//    relaxed fetch_adds and never allocates, which keeps the
+//    zero-steady-state-alloc harness green.
+//  * Collectors — a callback that appends gauge samples to a snapshot.
+//    Values derived from state behind existing locks (per-shard engine
+//    and flash introspection, connection counts) come from one collector
+//    per source, which reads all of its state in one pass: CacheService's
+//    collector locks each shard once per snapshot. The hot path never
+//    touches them.
 //
-// Instruments are registered once at startup (registration allocates and
-// takes the registry mutex; lookups by the hot path are done via the
-// returned reference, never by name). A snapshot merges every stripe /
-// bucket into plain structs; renderers produce Prometheus text exposition
-// (RenderPrometheus) and CSV rows (AppendCsv) from the same snapshot, so
+// Registration takes the registry mutex and may allocate — do it at
+// startup and keep the returned histogram reference; the hot path never
+// looks an instrument up by name. Snapshot() merges every histogram and
+// runs every collector once, in registration order; the renderers produce
+// Prometheus text exposition (RenderPrometheus), `stats detail` lines
+// (AppendStatLines) and CSV rows (AppendCsv) from the same snapshot, so
 // every export surface reports identical values by construction.
 #pragma once
 
@@ -34,49 +33,6 @@
 #include <vector>
 
 namespace pamakv::util {
-
-/// Stripes per counter. Power of two; 8 × 64B = one line per stripe,
-/// enough that a handful of loop threads rarely share one.
-inline constexpr std::size_t kCounterStripes = 8;
-
-/// Monotonic counter, striped by thread. Inc is wait-free and allocation-
-/// free; Value() sums the stripes (racy reads are fine — each stripe is
-/// monotone, so the sum never goes backwards between calls).
-class Counter {
- public:
-  void Inc(std::uint64_t n = 1) noexcept {
-    stripes_[StripeIndex()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t Value() const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& s : stripes_) sum += s.v.load(std::memory_order_relaxed);
-    return sum;
-  }
-
- private:
-  static std::size_t StripeIndex() noexcept;
-
-  struct alignas(64) Stripe {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Stripe stripes_[kCounterStripes];
-};
-
-/// Settable level. Updates are expected to happen under the owner's own
-/// serialization (e.g. a shard lock); the atomic only makes snapshot reads
-/// well-defined.
-class Gauge {
- public:
-  void Set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void Add(std::int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t Value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Plain-struct view of one histogram, merged across writers. Buckets are
 /// non-cumulative counts; `bounds[i]` is bucket i's inclusive upper edge.
@@ -146,14 +102,14 @@ class Histogram {
   std::atomic<std::uint64_t> sum_fp_{0};
 };
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kGauge, kHistogram };
 
-/// One instrument's merged value at snapshot time.
+/// One series' value at snapshot time.
 struct MetricSample {
-  std::string name;    ///< family name, e.g. "pamakv_ops_total"
+  std::string name;    ///< family name, e.g. "pamakv_slabs"
   std::string labels;  ///< preformatted label set, e.g. {verb="get"} ("" = none)
-  MetricKind kind = MetricKind::kCounter;
-  double value = 0.0;            ///< counter/gauge value
+  MetricKind kind = MetricKind::kGauge;
+  double value = 0.0;            ///< gauge value
   HistogramSnapshot histogram;   ///< kind == kHistogram only
 };
 
@@ -161,7 +117,11 @@ struct MetricSample {
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
-  /// Prometheus text exposition format 0.0.4 (# HELP/# TYPE + series).
+  /// Appends one gauge sample; what collectors call.
+  void AddGauge(std::string name, std::string labels, double value);
+
+  /// Prometheus text exposition format 0.0.4: one # TYPE line per family,
+  /// then its series.
   [[nodiscard]] std::string RenderPrometheus() const;
   /// One CSV row per series: <elapsed_ms>,<name><labels>,<value>.
   /// Histograms emit _count, _sum and per-quantile rows.
@@ -174,49 +134,47 @@ struct MetricsSnapshot {
   void AppendStatLines(std::vector<char>& out) const;
 };
 
+/// Appends one source's samples to a snapshot; runs inside Snapshot(),
+/// taking whatever locks it needs.
+using MetricsCollector = std::function<void(MetricsSnapshot&)>;
+
 class MetricsRegistry {
  public:
   /// Registers (or fetches, when the same name+labels was registered
-  /// before) an instrument. Registration locks and may allocate — do it
-  /// at startup and keep the reference; the reference stays valid for the
-  /// registry's lifetime (instruments are never removed).
-  Counter& GetCounter(const std::string& name, const std::string& labels = "",
-                      const std::string& help = "");
-  Gauge& GetGauge(const std::string& name, const std::string& labels = "",
-                  const std::string& help = "");
+  /// before) a histogram. The reference stays valid for the registry's
+  /// lifetime (instruments are never removed).
   Histogram& GetHistogram(const std::string& name, double min_value,
                           double max_value, std::size_t buckets,
-                          const std::string& labels = "",
-                          const std::string& help = "");
+                          const std::string& labels = "");
 
-  /// Callback gauge: `fn` is evaluated inside Snapshot(), with whatever
-  /// locks it takes internally. For values derived from state the hot
-  /// path already maintains (per-shard slab counts, tracker values).
-  void RegisterCallbackGauge(const std::string& name,
-                             const std::string& labels,
-                             std::function<double()> fn,
-                             const std::string& help = "");
+  /// Registers `collect` under `key`. Registering the same key again
+  /// replaces the collector in place — a source wired again (a server
+  /// restarted on the same registry) keeps one set of series, in its
+  /// original snapshot position.
+  void SetCollector(const std::string& key, MetricsCollector collect);
 
-  /// Merges every instrument into plain values. Thread-safe.
+  /// Merges every histogram and runs every collector, in registration
+  /// order. Thread-safe.
   [[nodiscard]] MetricsSnapshot Snapshot() const;
 
  private:
+  /// A histogram (name + labels) or a collector (its key in `name`).
   struct Entry {
     std::string name;
     std::string labels;
-    std::string help;
-    MetricKind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::function<double()> callback;  ///< callback gauges only
+    std::unique_ptr<Histogram> histogram;  ///< null for a collector
+    MetricsCollector collect;
   };
 
+  /// The entry registered as `name` + `labels`, or nullptr. Throws when
+  /// it was registered as the other kind.
   Entry* Find(const std::string& name, const std::string& labels,
-              MetricKind kind);
+              bool histogram);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Entry>> entries_;
+  std::vector<Entry> entries_;
+  /// Samples in the last snapshot: the next one reserves that many.
+  mutable std::size_t last_sample_count_ = 0;
 };
 
 }  // namespace pamakv::util

@@ -330,7 +330,7 @@ int Main(int argc, char** argv) {
                  full ? "complete" : "partial (drain budget expired)");
   }
 
-  const CacheStats stats = service.TotalStats();
+  const CacheStats stats = service.Totals().stats;
   std::fprintf(stderr,
                "# served %llu gets (%.1f%% hits), %llu sets, %llu conns "
                "(%llu rejected, %llu timed out)\n",

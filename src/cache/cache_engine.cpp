@@ -121,8 +121,7 @@ GetResult CacheEngine::Get(KeyId key, Bytes size, MicroSecs miss_penalty) {
   return GetResult{false, miss_penalty};
 }
 
-SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
-                           std::int64_t expire_at_ns) {
+SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty) {
   // All item-table growth happens before any state mutates: a bad_alloc
   // from here (real heap exhaustion, or injected via engine.item_alloc)
   // leaves the engine bit-identical to before the call. The remaining
@@ -151,7 +150,6 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
       item.size = size;
       item.penalty = penalty;
       item.last_access = clock_;
-      item.expire_at_ns = expire_at_ns;
       item.fetched = false;  // the new value hasn't been read yet
       StackOf(cls, sub).MoveToTop(item.node);
       ++stats_.set_updates;
@@ -180,7 +178,6 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty,
   item.cls = cls;
   item.sub = sub;
   item.last_access = clock_;
-  item.expire_at_ns = expire_at_ns;
   try {
     item.node = StackOf(cls, sub).PushTop(h);
   } catch (...) {
@@ -240,18 +237,16 @@ bool CacheEngine::Expire(KeyId key, bool background) {
   return true;
 }
 
-bool CacheEngine::Touch(KeyId key, std::int64_t expire_at_ns) {
+bool CacheEngine::Touch(KeyId key) {
   const ItemHandle h = index_.Find(key);
   if (h == kInvalidHandle) return false;
   Item& item = items_[h];
-  item.expire_at_ns = expire_at_ns;
   StackOf(item.cls, item.sub).MoveToTop(item.node);
   item.last_access = clock_;
   return true;
 }
 
-bool CacheEngine::RestoreItem(KeyId key, Bytes size, MicroSecs penalty,
-                              std::int64_t expire_at_ns) {
+bool CacheEngine::RestoreItem(KeyId key, Bytes size, MicroSecs penalty) {
   ReserveItemCapacity();
   const auto cls_opt = classes_.ClassForSize(size);
   if (!cls_opt) return false;
@@ -275,7 +270,6 @@ bool CacheEngine::RestoreItem(KeyId key, Bytes size, MicroSecs penalty,
   item.cls = cls;
   item.sub = sub;
   item.last_access = clock_;
-  item.expire_at_ns = expire_at_ns;
   try {
     item.node = StackOf(cls, sub).PushTop(h);
   } catch (...) {

@@ -25,6 +25,12 @@ constexpr std::int64_t kNsPerSecond = 1'000'000'000;
 constexpr std::int64_t kRelativeLimitS = 60LL * 60 * 24 * 30;
 /// Deadlines are capped ~95 years out so second→ns math cannot overflow.
 constexpr std::int64_t kMaxAheadS = 3'000'000'000;
+/// Size used to route a never-seen key's miss to a ghost list.
+constexpr Bytes kDefaultMissSize = 64;
+/// Timer-wheel tick. One second (memcached's clock granularity) bounds
+/// background-reap latency to ~1s past the deadline; access-path expiry
+/// is exact regardless.
+constexpr std::int64_t kExpiryTickNs = kNsPerSecond;
 
 /// Name ↔ member table for ServiceCounters: `stats` lines and metric
 /// gauges iterate this, so a counter added to the struct and here shows
@@ -139,7 +145,6 @@ StoreVerb ToStoreVerb(Verb v) noexcept {
 CacheService::CacheService(const CacheServiceConfig& config,
                            const EngineFactory& factory)
     : default_penalty_us_(config.default_penalty_us),
-      default_size_(config.default_size),
       clock_(config.clock != nullptr ? config.clock
                                      : &util::SteadyClock::Instance()),
       // Wall time goes through the clock seam (not system_clock directly)
@@ -156,7 +161,7 @@ CacheService::CacheService(const CacheServiceConfig& config,
     shard->index = i;
     shard->engine = factory(per_shard);
     shard->wheel =
-        std::make_unique<ExpiryWheel>(mono_base_ns_, config.expiry_tick_ns);
+        std::make_unique<ExpiryWheel>(mono_base_ns_, kExpiryTickNs);
     shards_.push_back(std::move(shard));
   }
 }
@@ -263,8 +268,8 @@ CacheService::Record* CacheService::SeatScratch(Shard& shard, KeyId id,
   // Room for a handle the engine may issue, before anything mutates.
   const std::size_t handles = shard.engine->handle_limit() + 1;
   if (shard.records.size() < handles) shard.records.resize(handles);
-  const SetResult result = shard.engine->Set(
-      id, shard.scratch.value.size(), penalty, shard.scratch.expire_at_ns);
+  const SetResult result =
+      shard.engine->Set(id, shard.scratch.value.size(), penalty);
   if (!result.stored) {
     // A value larger than every slot is refused with the old copy still
     // cached; drop it, as memcached unlinks the item of a failed set, so
@@ -327,7 +332,7 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
       // refreshes).
       record->stored_at_ns = now;
       record->flush_seq = shard.flush_seq;
-      shard.engine->Touch(id, deadline);
+      shard.engine->Touch(id);
       ScheduleExpiry(shard, shard.engine->HandleOf(id));
       ++shard.counters.touch_hits;
       if (sink_ != nullptr) {
@@ -362,7 +367,7 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
   // attribution see it. An evicted or expired key's ghost knows the
   // (class, band) it left and its penalty, so the miss lands in the list
   // that ranks it; a key without one gets the configured defaults.
-  Bytes size = default_size_;
+  Bytes size = kDefaultMissSize;
   MicroSecs penalty = default_penalty_us_;
   if (const auto ghost = shard.engine->FindGhost(id)) {
     size = shard.engine->classes().SlotBytes(ghost->cls);
@@ -601,7 +606,7 @@ bool CacheService::TouchLocked(Shard& shard, KeyId id, std::string_view key,
   // epoch, matching memcached.
   record->stored_at_ns = now;
   record->flush_seq = shard.flush_seq;
-  shard.engine->Touch(id, deadline);
+  shard.engine->Touch(id);
   ScheduleExpiry(shard, shard.engine->HandleOf(id));
   ++shard.counters.touch_hits;
   if (sink_ != nullptr) {
@@ -950,7 +955,7 @@ void CacheService::RestoreShard(std::size_t index,
     const MicroSecs penalty = PenaltyOf(item.flags);
     shard.records.resize(
         std::max(shard.records.size(), engine.handle_limit() + 1));
-    if (engine.RestoreItem(id, item.value.size(), penalty, deadline)) {
+    if (engine.RestoreItem(id, item.value.size(), penalty)) {
       const ItemHandle h = engine.HandleOf(id);
       shard.records[h].TakeFrom(next);
       ScheduleExpiry(shard, h);
@@ -1425,106 +1430,188 @@ bool CacheService::CompleteFlashGet(const FlashPending& pending, bool read_ok,
   return hit;
 }
 
-CacheStats CacheService::TotalStats() const {
-  CacheStats total;
+ServiceTotals CacheService::Totals(bool series) const {
+  // All shards share one factory, so shard 0's geometry is everyone's.
+  const CacheEngine& proto = *shards_.front()->engine;
+  const std::uint32_t bands = proto.num_subclasses();
+  const bool pama = dynamic_cast<const PamaPolicy*>(&proto.policy()) != nullptr;
+  ServiceTotals t;
+  t.bands = bands;
+  if (series) {
+    t.slabs.assign(std::size_t{proto.classes().num_classes()} * bands, 0);
+    t.subclass_items.assign(t.slabs.size(), 0);
+    t.ghost_hits.assign(t.slabs.size(), 0);
+    if (pama) {
+      t.pama_flow.resize(shards_.size());
+      t.migration_flow.assign(std::size_t{bands} * bands, 0);
+    }
+    if (flash_ != nullptr) t.flash_demotes.assign(bands, 0);
+  }
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->engine->stats();
+    const CacheEngine& e = *shard->engine;
+    t.stats += e.stats();
+    t.counters += shard->counters;
+    t.items += e.item_count();
+    t.collisions += shard->collisions;
+    t.wheel_nodes += shard->wheel->size();
+    t.free_slabs += e.pool().free_slabs();
+    t.total_slabs += e.pool().total_slabs();
+    for (std::size_t i = 0; i < t.slabs.size(); ++i) {
+      const auto c = static_cast<ClassId>(i / bands);
+      const auto b = static_cast<SubclassId>(i % bands);
+      t.slabs[i] += e.pool().SlabCount(c, b);
+      t.subclass_items[i] += e.SubclassItemCount(c, b);
+      t.ghost_hits[i] += e.GhostHitCount(c, b);
+    }
+    const auto* policy = dynamic_cast<const PamaPolicy*>(&e.policy());
+    if (!t.pama_flow.empty() && policy != nullptr) {
+      t.pama_flow[shard->index] = policy->value_flow();
+      for (std::size_t i = 0; i < t.migration_flow.size(); ++i) {
+        t.migration_flow[i] +=
+            policy->MigrationFlow(static_cast<SubclassId>(i / bands),
+                                  static_cast<SubclassId>(i % bands));
+      }
+    }
+    if (flash_ != nullptr) {
+      const std::size_t s = shard->index;
+      t.flash += flash_->shard_stats(s);
+      t.flash_items += flash_->ItemCount(s);
+      t.flash_bytes += flash_->TotalBytes(s);
+      t.flash_live_bytes += flash_->LiveBytes(s);
+      t.flash_segments += flash_->SegmentCount(s);
+      t.demote_drops += shard->demote_drops;
+      for (std::size_t b = 0; b < t.flash_demotes.size(); ++b) {
+        t.flash_demotes[b] +=
+            flash_->DemotesForBand(s, static_cast<SubclassId>(b));
+      }
+    }
   }
-  return total;
+  return t;
 }
 
-ServiceCounters CacheService::TotalCounters() const {
-  ServiceCounters total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->counters;
+namespace {
+
+/// Every CacheStats and ServiceCounters counter under its memcached name,
+/// in the order both `stats` and the pamakv_* series list them.
+template <typename Emit>
+void ForEachCounter(const ServiceTotals& t, Emit emit) {
+  for (const StatEntry& stat : t.stats.Snapshot()) emit(stat.name, stat.value);
+  for (const CounterField& field : kCounterFields) {
+    emit(field.name, t.counters.*field.member);
   }
-  return total;
 }
 
-std::uint64_t CacheService::ExpiryNodeCount() const {
-  std::uint64_t nodes = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    nodes += shard->wheel->size();
+/// `{a="i"}` for each i < na or, with `b`, `{a="i",b="j"}` row-major
+/// over i < na, j < nb.
+std::vector<std::string> LabelGrid(const char* a, std::size_t na,
+                                   const char* b = nullptr,
+                                   std::size_t nb = 1) {
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < na; ++i) {
+    for (std::size_t j = 0; j < nb; ++j) {
+      std::string l = std::string("{") + a + "=\"" + std::to_string(i);
+      if (b != nullptr) l += std::string("\",") + b + "=\"" + std::to_string(j);
+      labels.push_back(l + "\"}");
+    }
   }
-  return nodes;
+  return labels;
 }
 
-std::uint64_t CacheService::ItemCount() const {
-  std::uint64_t items = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    items += shard->engine->item_count();
+/// The label sets of the service's series, fixed by its geometry.
+struct SeriesLabels {
+  std::vector<std::string> class_band;  ///< per (class, band)
+  std::vector<std::string> band;
+  std::vector<std::string> shard;
+  std::vector<std::string> flow;        ///< per (from band, to band)
+};
+
+/// The service's pamakv_* series, rendered from one Totals(true).
+void AppendSeries(const ServiceTotals& t, const SeriesLabels& labels,
+                  util::MetricsSnapshot& snap) {
+  const auto gauge = [&snap](const char* name, const std::string& l,
+                             double value) { snap.AddGauge(name, l, value); };
+  const std::string none;
+  for (std::size_t i = 0; i < t.slabs.size(); ++i) {
+    const std::string& l = labels.class_band[i];
+    gauge("pamakv_slabs", l, static_cast<double>(t.slabs[i]));
+    gauge("pamakv_subclass_items", l, static_cast<double>(t.subclass_items[i]));
+    gauge("pamakv_ghost_hits", l, static_cast<double>(t.ghost_hits[i]));
   }
-  return items;
+  gauge("pamakv_free_slabs", none, static_cast<double>(t.free_slabs));
+  gauge("pamakv_total_slabs", none, static_cast<double>(t.total_slabs));
+  gauge("pamakv_curr_items", none, static_cast<double>(t.items));
+  ForEachCounter(t, [&snap](const char* name, std::uint64_t value) {
+    snap.AddGauge(std::string("pamakv_") + name, "",
+                  static_cast<double>(value));
+  });
+  gauge("pamakv_expiry_wheel_nodes", none, static_cast<double>(t.wheel_nodes));
+  // Flash victim tier (flash_demotes has one entry per band when a tier is
+  // attached): per-band demote counters, where the band-selectivity of
+  // admission shows, plus occupancy gauges.
+  for (std::size_t b = 0; b < t.flash_demotes.size(); ++b) {
+    gauge("pamakv_flash_demotes", labels.band[b],
+          static_cast<double>(t.flash_demotes[b]));
+  }
+  if (!t.flash_demotes.empty()) {
+    gauge("pamakv_flash_items", none, static_cast<double>(t.flash_items));
+    gauge("pamakv_flash_bytes", none, static_cast<double>(t.flash_bytes));
+    gauge("pamakv_flash_live_bytes", none,
+          static_cast<double>(t.flash_live_bytes));
+    gauge("pamakv_flash_reads", none, static_cast<double>(t.flash.reads));
+    gauge("pamakv_flash_cached_reads", none,
+          static_cast<double>(t.flash.cached_reads));
+    gauge("pamakv_flash_segments", none,
+          static_cast<double>(t.flash_segments));
+  }
+  // PAMA value flow. Per-shard series: the sums are per-shard monotone and
+  // the last-comparison pair is only meaningful per decision stream.
+  for (std::size_t i = 0; i < t.pama_flow.size(); ++i) {
+    const PamaPolicy::ValueFlow& f = t.pama_flow[i];
+    const std::string& l = labels.shard[i];
+    gauge("pamakv_pama_decisions_total", l, static_cast<double>(f.decisions));
+    gauge("pamakv_pama_outgoing_value_sum", l, f.outgoing_sum);
+    gauge("pamakv_pama_incoming_value_sum", l, f.incoming_sum);
+    gauge("pamakv_pama_migration_benefit_sum", l, f.migration_benefit_sum);
+    gauge("pamakv_pama_last_outgoing_value", l, f.last_outgoing);
+    gauge("pamakv_pama_last_incoming_value", l, f.last_incoming);
+  }
+  for (std::size_t i = 0; i < t.migration_flow.size(); ++i) {
+    gauge("pamakv_pama_migration_flow_total", labels.flow[i],
+          static_cast<double>(t.migration_flow[i]));
+  }
 }
 
-std::uint64_t CacheService::CollisionsResolved() const {
-  std::uint64_t collisions = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    collisions += shard->collisions;
-  }
-  return collisions;
-}
+}  // namespace
 
 void CacheService::AppendStats(std::vector<char>& out, bool detail) const {
-  const CacheStats total = TotalStats();
-  for (const StatEntry& stat : total.Snapshot()) {
-    AppendStat(out, stat.name, stat.value);
-  }
-  const ServiceCounters counters = TotalCounters();
-  for (const CounterField& field : kCounterFields) {
-    AppendStat(out, field.name, counters.*field.member);
-  }
-  AppendStat(out, "curr_items", ItemCount());
+  const ServiceTotals t = Totals();
+  ForEachCounter(t, [&out](const char* name, std::uint64_t value) {
+    AppendStat(out, name, value);
+  });
+  AppendStat(out, "curr_items", t.items);
   AppendStat(out, "shards", shards_.size());
-  AppendStat(out, "hash_collisions_resolved", CollisionsResolved());
-  AppendStat(out, "expiry_wheel_nodes", ExpiryNodeCount());
+  AppendStat(out, "hash_collisions_resolved", t.collisions);
+  AppendStat(out, "expiry_wheel_nodes", t.wheel_nodes);
   if (flash_ != nullptr) {
-    flash::ShardStats fs;
-    std::uint64_t items = 0, bytes = 0, live = 0, segs = 0, drops = 0;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      const flash::ShardStats& s = flash_->shard_stats(shard->index);
-      fs.demotes += s.demotes;
-      fs.append_failures += s.append_failures;
-      fs.reads += s.reads;
-      fs.cached_reads += s.cached_reads;
-      fs.read_failures += s.read_failures;
-      fs.gc_runs += s.gc_runs;
-      fs.gc_rewrites += s.gc_rewrites;
-      fs.gc_drops += s.gc_drops;
-      fs.segments_created += s.segments_created;
-      fs.segments_deleted += s.segments_deleted;
-      fs.recovered_items += s.recovered_items;
-      fs.corrupt_segments_dropped += s.corrupt_segments_dropped;
-      items += flash_->ItemCount(shard->index);
-      bytes += flash_->TotalBytes(shard->index);
-      live += flash_->LiveBytes(shard->index);
-      segs += flash_->SegmentCount(shard->index);
-      drops += shard->demote_drops;
-    }
-    AppendStat(out, "flash_items", items);
-    AppendStat(out, "flash_bytes", bytes);
-    AppendStat(out, "flash_live_bytes", live);
-    AppendStat(out, "flash_segments", segs);
-    AppendStat(out, "flash_demotes", fs.demotes);
-    AppendStat(out, "flash_demote_drops", drops);
-    AppendStat(out, "flash_append_failures", fs.append_failures);
-    AppendStat(out, "flash_reads", fs.reads);
-    AppendStat(out, "flash_cached_reads", fs.cached_reads);
-    AppendStat(out, "flash_sync_read_failures", fs.read_failures);
-    AppendStat(out, "flash_gc_runs", fs.gc_runs);
-    AppendStat(out, "flash_gc_rewrites", fs.gc_rewrites);
-    AppendStat(out, "flash_gc_drops", fs.gc_drops);
-    AppendStat(out, "flash_segments_created", fs.segments_created);
-    AppendStat(out, "flash_segments_deleted", fs.segments_deleted);
-    AppendStat(out, "flash_recovered_items", fs.recovered_items);
+    AppendStat(out, "flash_items", t.flash_items);
+    AppendStat(out, "flash_bytes", t.flash_bytes);
+    AppendStat(out, "flash_live_bytes", t.flash_live_bytes);
+    AppendStat(out, "flash_segments", t.flash_segments);
+    AppendStat(out, "flash_demotes", t.flash.demotes);
+    AppendStat(out, "flash_demote_drops", t.demote_drops);
+    AppendStat(out, "flash_append_failures", t.flash.append_failures);
+    AppendStat(out, "flash_reads", t.flash.reads);
+    AppendStat(out, "flash_cached_reads", t.flash.cached_reads);
+    AppendStat(out, "flash_sync_read_failures", t.flash.read_failures);
+    AppendStat(out, "flash_gc_runs", t.flash.gc_runs);
+    AppendStat(out, "flash_gc_rewrites", t.flash.gc_rewrites);
+    AppendStat(out, "flash_gc_drops", t.flash.gc_drops);
+    AppendStat(out, "flash_segments_created", t.flash.segments_created);
+    AppendStat(out, "flash_segments_deleted", t.flash.segments_deleted);
+    AppendStat(out, "flash_recovered_items", t.flash.recovered_items);
     AppendStat(out, "flash_corrupt_segments_dropped",
-               fs.corrupt_segments_dropped);
+               t.flash.corrupt_segments_dropped);
   }
   if (sink_ != nullptr) sink_->AppendStats(out);
   {
@@ -1553,259 +1640,19 @@ void CacheService::SetExtraStats(
   extra_stats_ = std::move(appender);
 }
 
-namespace {
-
-std::string ClassBandLabels(ClassId c, SubclassId s) {
-  return "{class=\"" + std::to_string(c) + "\",band=\"" + std::to_string(s) +
-         "\"}";
-}
-
-}  // namespace
-
 void CacheService::RegisterMetrics(util::MetricsRegistry& registry) {
   metrics_ = &registry;
-  // All shards share one factory, so shard 0's geometry is everyone's.
   const CacheEngine& proto = *shards_.front()->engine;
-  const std::uint32_t num_classes = proto.classes().num_classes();
-  const std::uint32_t num_bands = proto.num_subclasses();
-
-  for (std::uint32_t c = 0; c < num_classes; ++c) {
-    for (std::uint32_t s = 0; s < num_bands; ++s) {
-      const std::string labels =
-          ClassBandLabels(static_cast<ClassId>(c), static_cast<SubclassId>(s));
-      registry.RegisterCallbackGauge(
-          "pamakv_slabs", labels,
-          [this, c, s] {
-            return SumOverShards([c, s](const CacheEngine& e) {
-              return static_cast<double>(e.pool().SlabCount(
-                  static_cast<ClassId>(c), static_cast<SubclassId>(s)));
-            });
-          },
-          "slabs assigned per (size class, penalty band), summed over shards");
-      registry.RegisterCallbackGauge(
-          "pamakv_subclass_items", labels,
-          [this, c, s] {
-            return SumOverShards([c, s](const CacheEngine& e) {
-              return static_cast<double>(e.SubclassItemCount(
-                  static_cast<ClassId>(c), static_cast<SubclassId>(s)));
-            });
-          },
-          "items per (size class, penalty band)");
-      registry.RegisterCallbackGauge(
-          "pamakv_ghost_hits", labels,
-          [this, c, s] {
-            return SumOverShards([c, s](const CacheEngine& e) {
-              return static_cast<double>(e.GhostHitCount(
-                  static_cast<ClassId>(c), static_cast<SubclassId>(s)));
-            });
-          },
-          "GET misses found in this subclass's ghost (receiving) segments");
-    }
-  }
-  registry.RegisterCallbackGauge(
-      "pamakv_free_slabs", "",
-      [this] {
-        return SumOverShards([](const CacheEngine& e) {
-          return static_cast<double>(e.pool().free_slabs());
-        });
-      },
-      "unassigned slabs in the free pools");
-  registry.RegisterCallbackGauge(
-      "pamakv_total_slabs", "",
-      [this] {
-        return SumOverShards([](const CacheEngine& e) {
-          return static_cast<double>(e.pool().total_slabs());
-        });
-      },
-      "slabs the pools were built with");
-  registry.RegisterCallbackGauge(
-      "pamakv_curr_items", "",
-      [this] { return static_cast<double>(ItemCount()); },
-      "live items across shards");
-
-  // Every CacheStats counter under its memcached stat name, prefixed.
-  // Snapshot() entry names have static storage, so capturing the index
-  // and re-snapshotting in the callback is race-free and allocation-free.
-  const StatsSnapshot names = CacheStats{}.Snapshot();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    registry.RegisterCallbackGauge(
-        std::string("pamakv_") + names[i].name, "",
-        [this, i] {
-          return static_cast<double>(TotalStats().Snapshot()[i].value);
-        },
-        "CacheStats counter, summed over shards");
-  }
-
-  // Service-level command counters (cas/incr/decr/touch families) and the
-  // expiry backlog, same names as their `stats` lines, prefixed.
-  for (const CounterField& field : kCounterFields) {
-    registry.RegisterCallbackGauge(
-        std::string("pamakv_") + field.name, "",
-        [this, member = field.member] {
-          return static_cast<double>(TotalCounters().*member);
-        },
-        "service command counter, summed over shards");
-  }
-  registry.RegisterCallbackGauge(
-      "pamakv_expiry_wheel_nodes", "",
-      [this] { return static_cast<double>(ExpiryNodeCount()); },
-      "timer-wheel nodes pending across shards (live + lazily-cancelled)");
-
-  // Flash victim tier: per-band demote counters (the band-selectivity of
-  // admission is observable here) plus occupancy gauges.
-  if (flash_ != nullptr) {
-    const auto sum_flash = [this](auto pick) {
-      double total = 0.0;
-      for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        total += pick(shard->index);
-      }
-      return total;
-    };
-    for (std::uint32_t b = 0; b < num_bands; ++b) {
-      const std::string labels = "{band=\"" + std::to_string(b) + "\"}";
-      registry.RegisterCallbackGauge(
-          "pamakv_flash_demotes", labels,
-          [sum_flash, this, b] {
-            return sum_flash([this, b](std::size_t i) {
-              return static_cast<double>(
-                  flash_->DemotesForBand(i, static_cast<SubclassId>(b)));
-            });
-          },
-          "items demoted to flash per penalty band, summed over shards");
-    }
-    registry.RegisterCallbackGauge(
-        "pamakv_flash_items", "",
-        [sum_flash, this] {
-          return sum_flash([this](std::size_t i) {
-            return static_cast<double>(flash_->ItemCount(i));
-          });
-        },
-        "flash-resident items across shards");
-    registry.RegisterCallbackGauge(
-        "pamakv_flash_bytes", "",
-        [sum_flash, this] {
-          return sum_flash([this](std::size_t i) {
-            return static_cast<double>(flash_->TotalBytes(i));
-          });
-        },
-        "segment-file bytes on disk (live + dead records)");
-    registry.RegisterCallbackGauge(
-        "pamakv_flash_live_bytes", "",
-        [sum_flash, this] {
-          return sum_flash([this](std::size_t i) {
-            return static_cast<double>(flash_->LiveBytes(i));
-          });
-        },
-        "bytes of live (indexed) flash records");
-    registry.RegisterCallbackGauge(
-        "pamakv_flash_reads", "",
-        [sum_flash, this] {
-          return sum_flash([this](std::size_t i) {
-            return static_cast<double>(flash_->shard_stats(i).reads);
-          });
-        },
-        "flash record reads (inline page-cache serves included)");
-    registry.RegisterCallbackGauge(
-        "pamakv_flash_cached_reads", "",
-        [sum_flash, this] {
-          return sum_flash([this](std::size_t i) {
-            return static_cast<double>(flash_->shard_stats(i).cached_reads);
-          });
-        },
-        "flash reads served from the page cache under the shard lock");
-    registry.RegisterCallbackGauge(
-        "pamakv_flash_segments", "",
-        [sum_flash, this] {
-          return sum_flash([this](std::size_t i) {
-            return static_cast<double>(flash_->SegmentCount(i));
-          });
-        },
-        "segment files across shards");
-  }
-
-  // PAMA value-flow telemetry, when the shards run PamaPolicy. Per-shard
-  // series: the sums are per-shard monotone and the last-comparison pair
-  // is only meaningful per decision stream.
-  if (dynamic_cast<const PamaPolicy*>(&proto.policy()) != nullptr) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      const auto flow = [this, i](auto pick) {
-        Shard& shard = *shards_[i];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto* pama =
-            dynamic_cast<const PamaPolicy*>(&shard.engine->policy());
-        return pama != nullptr ? pick(pama->value_flow()) : 0.0;
-      };
-      registry.RegisterCallbackGauge(
-          "pamakv_pama_decisions_total", labels,
-          [flow] {
-            return flow([](const PamaPolicy::ValueFlow& f) {
-              return static_cast<double>(f.decisions);
-            });
-          },
-          "MakeRoom decisions that had a donor candidate");
-      registry.RegisterCallbackGauge(
-          "pamakv_pama_outgoing_value_sum", labels,
-          [flow] {
-            return flow(
-                [](const PamaPolicy::ValueFlow& f) { return f.outgoing_sum; });
-          },
-          "sum of candidate outgoing values at decisions");
-      registry.RegisterCallbackGauge(
-          "pamakv_pama_incoming_value_sum", labels,
-          [flow] {
-            return flow(
-                [](const PamaPolicy::ValueFlow& f) { return f.incoming_sum; });
-          },
-          "sum of requester incoming values at decisions");
-      registry.RegisterCallbackGauge(
-          "pamakv_pama_migration_benefit_sum", labels,
-          [flow] {
-            return flow([](const PamaPolicy::ValueFlow& f) {
-              return f.migration_benefit_sum;
-            });
-          },
-          "sum of (incoming - outgoing) over executed migrations: the "
-          "penalty-saved-vs-penalty-blind-LRU estimate");
-      registry.RegisterCallbackGauge(
-          "pamakv_pama_last_outgoing_value", labels,
-          [flow] {
-            return flow(
-                [](const PamaPolicy::ValueFlow& f) { return f.last_outgoing; });
-          },
-          "candidate outgoing value at the latest decision");
-      registry.RegisterCallbackGauge(
-          "pamakv_pama_last_incoming_value", labels,
-          [flow] {
-            return flow(
-                [](const PamaPolicy::ValueFlow& f) { return f.last_incoming; });
-          },
-          "winning incoming value at the latest decision");
-    }
-    for (std::uint32_t from = 0; from < num_bands; ++from) {
-      for (std::uint32_t to = 0; to < num_bands; ++to) {
-        const std::string labels = "{from_band=\"" + std::to_string(from) +
-                                   "\",to_band=\"" + std::to_string(to) +
-                                   "\"}";
-        registry.RegisterCallbackGauge(
-            "pamakv_pama_migration_flow_total", labels,
-            [this, from, to] {
-              return SumOverShards([from, to](const CacheEngine& e) {
-                const auto* pama =
-                    dynamic_cast<const PamaPolicy*>(&e.policy());
-                return pama != nullptr
-                           ? static_cast<double>(pama->MigrationFlow(
-                                 static_cast<SubclassId>(from),
-                                 static_cast<SubclassId>(to)))
-                           : 0.0;
-              });
-            },
-            "slab migrations from band to band (src -> dst), summed over "
-            "shards");
-      }
-    }
-  }
+  const std::size_t bands = proto.num_subclasses();
+  SeriesLabels labels{
+      LabelGrid("class", proto.classes().num_classes(), "band", bands),
+      LabelGrid("band", bands), LabelGrid("shard", shards_.size()),
+      LabelGrid("from_band", bands, "to_band", bands)};
+  registry.SetCollector(
+      "pamakv_service",
+      [this, labels = std::move(labels)](util::MetricsSnapshot& snap) {
+        AppendSeries(Totals(/*series=*/true), labels, snap);
+      });
 }
 
 }  // namespace pamakv::net

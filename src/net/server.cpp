@@ -56,20 +56,16 @@ void Server::EnableMetrics(util::MetricsRegistry& registry) {
     // 0.1µs .. 10s covers everything from an in-memory hit to a stalled
     // flush; 64 log buckets ≈ 33% relative error per bucket.
     conn_metrics_.service_us[v] = &registry.GetHistogram(
-        "pamakv_service_time_us", 0.1, 1e7, 64, labels,
-        "per-command service time, microseconds");
+        "pamakv_service_time_us", 0.1, 1e7, 64, labels);
   }
-  tx_flush_us_ = &registry.GetHistogram(
-      "pamakv_tx_flush_us", 0.1, 1e7, 64, "",
-      "time to flush pending response bytes to the socket, microseconds");
-  registry.RegisterCallbackGauge(
-      "pamakv_curr_connections", "",
-      [this] { return static_cast<double>(curr_connections()); },
-      "open client connections");
-  registry.RegisterCallbackGauge(
-      "pamakv_total_connections", "",
-      [this] { return static_cast<double>(total_connections()); },
-      "connections accepted since start");
+  tx_flush_us_ =
+      &registry.GetHistogram("pamakv_tx_flush_us", 0.1, 1e7, 64);
+  registry.SetCollector("pamakv_server", [this](util::MetricsSnapshot& snap) {
+    snap.AddGauge("pamakv_curr_connections", "",
+                  static_cast<double>(curr_connections()));
+    snap.AddGauge("pamakv_total_connections", "",
+                  static_cast<double>(total_connections()));
+  });
 }
 
 void Server::Start() {

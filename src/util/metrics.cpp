@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 namespace pamakv::util {
@@ -35,25 +34,7 @@ void AppendU64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-const char* KindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "untyped";
-}
-
 }  // namespace
-
-std::size_t Counter::StripeIndex() noexcept {
-  // One stable stripe per thread; hashing the thread id spreads loop
-  // threads across stripes without any registration handshake.
-  static thread_local const std::size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      kCounterStripes;
-  return stripe;
-}
 
 Histogram::Histogram(double min_value, double max_value, std::size_t buckets) {
   if (min_value <= 0.0 || max_value <= min_value || buckets == 0) {
@@ -148,113 +129,68 @@ void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
 
 MetricsRegistry::Entry* MetricsRegistry::Find(const std::string& name,
                                               const std::string& labels,
-                                              MetricKind kind) {
-  for (auto& e : entries_) {
-    if (e->name == name && e->labels == labels) {
-      if (e->kind != kind) {
+                                              bool histogram) {
+  for (Entry& e : entries_) {
+    if (e.name == name && e.labels == labels) {
+      if ((e.histogram != nullptr) != histogram) {
         throw std::logic_error("metric '" + name +
                                "' re-registered with a different kind");
       }
-      return e.get();
+      return &e;
     }
   }
   return nullptr;
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& labels,
-                                     const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* e = Find(name, labels, MetricKind::kCounter)) return *e->counter;
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->help = help;
-  e->kind = MetricKind::kCounter;
-  e->counter = std::make_unique<Counter>();
-  Counter& ref = *e->counter;
-  entries_.push_back(std::move(e));
-  return ref;
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& labels,
-                                 const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* e = Find(name, labels, MetricKind::kGauge)) return *e->gauge;
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->help = help;
-  e->kind = MetricKind::kGauge;
-  e->gauge = std::make_unique<Gauge>();
-  Gauge& ref = *e->gauge;
-  entries_.push_back(std::move(e));
-  return ref;
-}
-
 Histogram& MetricsRegistry::GetHistogram(const std::string& name,
                                          double min_value, double max_value,
                                          std::size_t buckets,
-                                         const std::string& labels,
-                                         const std::string& help) {
+                                         const std::string& labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* e = Find(name, labels, MetricKind::kHistogram)) {
-    return *e->histogram;
-  }
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->help = help;
-  e->kind = MetricKind::kHistogram;
-  e->histogram = std::make_unique<Histogram>(min_value, max_value, buckets);
-  Histogram& ref = *e->histogram;
-  entries_.push_back(std::move(e));
-  return ref;
+  if (Entry* e = Find(name, labels, /*histogram=*/true)) return *e->histogram;
+  Entry& e = entries_.emplace_back();
+  e.name = name;
+  e.labels = labels;
+  e.histogram = std::make_unique<Histogram>(min_value, max_value, buckets);
+  return *e.histogram;
 }
 
-void MetricsRegistry::RegisterCallbackGauge(const std::string& name,
-                                            const std::string& labels,
-                                            std::function<double()> fn,
-                                            const std::string& help) {
+void MetricsRegistry::SetCollector(const std::string& key,
+                                   MetricsCollector collect) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* e = Find(name, labels, MetricKind::kGauge)) {
-    e->callback = std::move(fn);  // re-wiring after a server restart
-    return;
+  Entry* e = Find(key, "", /*histogram=*/false);
+  if (e == nullptr) {
+    e = &entries_.emplace_back();
+    e->name = key;
   }
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->help = help;
-  e->kind = MetricKind::kGauge;
-  e->callback = std::move(fn);
-  entries_.push_back(std::move(e));
+  e->collect = std::move(collect);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
-  snap.samples.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    MetricSample s;
-    s.name = e->name;
-    s.labels = e->labels;
-    s.kind = e->kind;
-    switch (e->kind) {
-      case MetricKind::kCounter:
-        s.value = static_cast<double>(e->counter->Value());
-        break;
-      case MetricKind::kGauge:
-        s.value = e->callback ? e->callback()
-                              : static_cast<double>(e->gauge->Value());
-        break;
-      case MetricKind::kHistogram:
-        s.histogram = e->histogram->Snapshot();
-        break;
+  snap.samples.reserve(last_sample_count_);
+  for (const Entry& e : entries_) {
+    if (e.histogram == nullptr) {
+      e.collect(snap);
+      continue;
     }
-    snap.samples.push_back(std::move(s));
+    MetricSample& s = snap.samples.emplace_back();
+    s.name = e.name;
+    s.labels = e.labels;
+    s.kind = MetricKind::kHistogram;
+    s.histogram = e.histogram->Snapshot();
   }
+  last_sample_count_ = snap.samples.size();
   return snap;
+}
+
+void MetricsSnapshot::AddGauge(std::string name, std::string labels,
+                               double value) {
+  MetricSample& s = samples.emplace_back();
+  s.name = std::move(name);
+  s.labels = std::move(labels);
+  s.value = value;
 }
 
 std::string MetricsSnapshot::RenderPrometheus() const {
@@ -289,9 +225,7 @@ std::string MetricsSnapshot::RenderPrometheus() const {
     if (s.name != last_family) {
       out += "# TYPE ";
       out += s.name;
-      out += ' ';
-      out += KindName(s.kind);
-      out += '\n';
+      out += s.kind == MetricKind::kHistogram ? " histogram\n" : " gauge\n";
       last_family = s.name;
     }
     if (s.kind == MetricKind::kHistogram) {

@@ -1,6 +1,6 @@
-// util/metrics: instruments, snapshot/render surfaces, and the concurrent
-// write paths (this file is dual-compiled into the tsan binary — see
-// tests/CMakeLists.txt — so every racy claim here runs under
+// util/metrics: histograms, collectors, snapshot/render surfaces, and the
+// concurrent write paths (this file is dual-compiled into the tsan binary —
+// see tests/CMakeLists.txt — so every racy claim here runs under
 // ThreadSanitizer in the tsan preset).
 
 #include "pamakv/util/metrics.hpp"
@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "pamakv/util/histogram.hpp"
@@ -20,35 +22,6 @@
 
 namespace pamakv::util {
 namespace {
-
-TEST(MetricsCounterTest, SumsAcrossStripes) {
-  Counter c;
-  EXPECT_EQ(c.Value(), 0u);
-  c.Inc();
-  c.Inc(41);
-  EXPECT_EQ(c.Value(), 42u);
-}
-
-TEST(MetricsCounterTest, ConcurrentIncrementsAreLossless) {
-  Counter c;
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 100'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c.Inc();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c.Value(), kThreads * kPerThread);
-}
-
-TEST(MetricsGaugeTest, SetAndAdd) {
-  Gauge g;
-  g.Set(10);
-  g.Add(-3);
-  EXPECT_EQ(g.Value(), 7);
-}
 
 TEST(MetricsHistogramTest, SnapshotCountEqualsBucketSum) {
   Histogram h(1.0, 1e6, 32);
@@ -144,47 +117,87 @@ TEST(MetricsSnapshotMergeTest, MismatchedLayoutsRebinByMidpoint) {
 
 TEST(MetricsRegistryTest, SameNameAndLabelsReturnsSameInstrument) {
   MetricsRegistry registry;
-  Counter& a = registry.GetCounter("pamakv_ops_total", "{verb=\"get\"}");
-  Counter& b = registry.GetCounter("pamakv_ops_total", "{verb=\"get\"}");
-  Counter& other = registry.GetCounter("pamakv_ops_total", "{verb=\"set\"}");
+  Histogram& a = registry.GetHistogram("pamakv_lat_us", 1.0, 10.0, 4,
+                                       "{verb=\"get\"}");
+  Histogram& b = registry.GetHistogram("pamakv_lat_us", 1.0, 10.0, 4,
+                                       "{verb=\"get\"}");
+  Histogram& other = registry.GetHistogram("pamakv_lat_us", 1.0, 10.0, 4,
+                                           "{verb=\"set\"}");
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &other);
 }
 
 TEST(MetricsRegistryTest, KindMismatchThrows) {
+  // Histograms and collectors share one namespace: a name registered as
+  // one kind cannot come back as the other.
   MetricsRegistry registry;
-  registry.GetCounter("pamakv_thing", "");
-  EXPECT_THROW(registry.GetGauge("pamakv_thing", ""), std::logic_error);
-  EXPECT_THROW(registry.GetHistogram("pamakv_thing", 1.0, 10.0, 4, ""),
+  registry.SetCollector("pamakv_thing", [](MetricsSnapshot&) {});
+  EXPECT_THROW(registry.GetHistogram("pamakv_thing", 1.0, 10.0, 4),
+               std::logic_error);
+  registry.GetHistogram("pamakv_lat_us", 1.0, 10.0, 4);
+  EXPECT_THROW(registry.SetCollector("pamakv_lat_us", [](MetricsSnapshot&) {}),
                std::logic_error);
 }
 
 TEST(MetricsRegistryTest, CallbackGaugeEvaluatedAtSnapshot) {
   MetricsRegistry registry;
   double level = 1.0;
-  registry.RegisterCallbackGauge("pamakv_level", "", [&level] { return level; });
+  registry.SetCollector("levels", [&level](MetricsSnapshot& snap) {
+    snap.AddGauge("pamakv_level", "", level);
+  });
   EXPECT_EQ(registry.Snapshot().samples[0].value, 1.0);
   level = 5.0;
   EXPECT_EQ(registry.Snapshot().samples[0].value, 5.0);
 }
 
+TEST(MetricsRegistryTest, CollectorsRunInRegistrationOrderAndReplaceInPlace) {
+  MetricsRegistry registry;
+  int runs = 0;
+  registry.SetCollector("first", [&runs](MetricsSnapshot& snap) {
+    ++runs;
+    snap.AddGauge("pamakv_a", "", 1);
+  });
+  registry.GetHistogram("pamakv_lat_us", 1.0, 10.0, 4);
+  registry.SetCollector("second", [](MetricsSnapshot& snap) {
+    snap.AddGauge("pamakv_b", "{i=\"0\"}", 2);
+    snap.AddGauge("pamakv_b", "{i=\"1\"}", 3);
+  });
+  // Wiring a source again replaces its collector, keeping its position:
+  // one set of series, not two.
+  registry.SetCollector("first", [&runs](MetricsSnapshot& snap) {
+    ++runs;
+    snap.AddGauge("pamakv_a", "", 4);
+  });
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(runs, 1);
+  ASSERT_EQ(snap.samples.size(), 4u);
+  EXPECT_EQ(snap.samples[0].name, "pamakv_a");
+  EXPECT_EQ(snap.samples[0].value, 4.0);
+  EXPECT_EQ(snap.samples[1].kind, MetricKind::kHistogram);
+  EXPECT_EQ(snap.samples[2].labels, "{i=\"0\"}");
+  EXPECT_EQ(snap.samples[3].value, 3.0);
+}
+
 TEST(MetricsRegistryTest, ConcurrentWritersAndSnapshotters) {
   // The tsan-build version of this test is the race check the metrics
-  // hot path is held to: counters, gauges and histograms written from
-  // many threads while another thread snapshots and renders.
+  // hot path is held to: histograms written from many threads while
+  // another thread snapshots and renders, with a collector reading an
+  // atomic the writers bump.
   MetricsRegistry registry;
-  Counter& ops = registry.GetCounter("pamakv_ops_total", "");
-  Gauge& depth = registry.GetGauge("pamakv_depth", "");
-  Histogram& lat = registry.GetHistogram("pamakv_lat_us", 0.1, 1e6, 32, "");
+  std::atomic<std::uint64_t> ops{0};
+  registry.SetCollector("ops", [&ops](MetricsSnapshot& snap) {
+    snap.AddGauge("pamakv_ops", "",
+                  static_cast<double>(ops.load(std::memory_order_relaxed)));
+  });
+  Histogram& lat = registry.GetHistogram("pamakv_lat_us", 0.1, 1e6, 32);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20'000;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
+    writers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        ops.Inc();
-        depth.Set(t);
+        ops.fetch_add(1, std::memory_order_relaxed);
         lat.Observe(1.0 + i % 100);
       }
     });
@@ -192,33 +205,44 @@ TEST(MetricsRegistryTest, ConcurrentWritersAndSnapshotters) {
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_acquire)) {
       const MetricsSnapshot snap = registry.Snapshot();
-      ASSERT_EQ(snap.samples.size(), 3u);
+      ASSERT_EQ(snap.samples.size(), 2u);
       const std::string text = snap.RenderPrometheus();
-      EXPECT_NE(text.find("# TYPE pamakv_ops_total counter"),
-                std::string::npos);
+      EXPECT_NE(text.find("# TYPE pamakv_ops gauge"), std::string::npos);
     }
   });
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   scraper.join();
-  EXPECT_EQ(ops.Value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(registry.Snapshot().samples[0].value,
+            static_cast<double>(kThreads) * kPerThread);
   EXPECT_EQ(lat.Snapshot().total,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 // ---- Render surfaces ----
 
+using GaugeList = std::vector<std::tuple<std::string, std::string, double>>;
+
+/// A registry whose collector reports fixed gauges.
+void AddGauges(MetricsRegistry& registry, GaugeList gauges) {
+  registry.SetCollector("fixed", [gauges](MetricsSnapshot& snap) {
+    for (const auto& [name, labels, value] : gauges) {
+      snap.AddGauge(name, labels, value);
+    }
+  });
+}
+
 TEST(MetricsRenderTest, PrometheusExpositionShape) {
   MetricsRegistry registry;
-  registry.GetCounter("pamakv_ops_total", "{verb=\"get\"}").Inc(7);
-  registry.GetGauge("pamakv_items", "").Set(3);
-  Histogram& h = registry.GetHistogram("pamakv_lat_us", 1.0, 1000.0, 3, "");
+  AddGauges(registry, {{"pamakv_ops_total", "{verb=\"get\"}", 7},
+                       {"pamakv_items", "", 3}});
+  Histogram& h = registry.GetHistogram("pamakv_lat_us", 1.0, 1000.0, 3);
   h.Observe(5.0);
   h.Observe(50.0);
   h.Observe(1e9);  // clamps into the last bucket
 
   const std::string text = registry.Snapshot().RenderPrometheus();
-  EXPECT_NE(text.find("# TYPE pamakv_ops_total counter"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE pamakv_ops_total gauge"), std::string::npos);
   EXPECT_NE(text.find("pamakv_ops_total{verb=\"get\"} 7\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE pamakv_items gauge"), std::string::npos);
@@ -259,11 +283,13 @@ TEST(MetricsRenderTest, InterleavedFamiliesGroupUnderOneTypeLine) {
   // # TYPE line per family with all its series grouped beneath it —
   // duplicate # TYPE lines are a spec violation Prometheus rejects.
   MetricsRegistry registry;
+  GaugeList gauges;
   for (int i = 0; i < 3; ++i) {
     const std::string labels = "{i=\"" + std::to_string(i) + "\"}";
-    registry.GetGauge("pamakv_alpha", labels).Set(i);
-    registry.GetGauge("pamakv_beta", labels).Set(i);
+    gauges.emplace_back("pamakv_alpha", labels, i);
+    gauges.emplace_back("pamakv_beta", labels, i);
   }
+  AddGauges(registry, gauges);
   const std::string text = registry.Snapshot().RenderPrometheus();
   std::size_t alpha_types = 0;
   std::size_t beta_types = 0;
@@ -296,8 +322,8 @@ TEST(MetricsRenderTest, HistogramBucketsCarryOuterLabels) {
 
 TEST(MetricsRenderTest, CsvAndStatLinesAgreeWithPrometheus) {
   MetricsRegistry registry;
-  registry.GetCounter("pamakv_ops_total", "").Inc(1234);
-  registry.GetGauge("pamakv_items", "").Set(42);
+  AddGauges(registry,
+            {{"pamakv_ops_total", "", 1234}, {"pamakv_items", "", 42}});
   const MetricsSnapshot snap = registry.Snapshot();
 
   std::string csv;

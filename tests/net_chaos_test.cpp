@@ -314,7 +314,7 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
     }
 
     // Counters reconcile across the whole run, storm included.
-    const CacheStats totals = service.TotalStats();
+    const CacheStats totals = service.Totals().stats;
     EXPECT_EQ(totals.get_hits + totals.get_misses, totals.gets);
 
     // Expiry accounting: the TTL traffic genuinely expired, the reaper
@@ -346,7 +346,7 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
     EXPECT_EQ(wire_expired, totals.expired);
     EXPECT_EQ(wire_unfetched, totals.expired_unfetched);
     EXPECT_EQ(wire_reclaimed, totals.reclaimed);
-    const ServiceCounters sc = service.TotalCounters();
+    const ServiceCounters sc = service.Totals().counters;
     EXPECT_EQ(wire_incr_hits, sc.incr_hits);
     EXPECT_EQ(wire_decr_hits, sc.decr_hits);
     EXPECT_EQ(wire_touch_hits, sc.touch_hits);
@@ -368,9 +368,9 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
       return sum;
     };
     EXPECT_EQ(static_cast<std::uint64_t>(sum_of("pamakv_bytes")),
-              service.TotalStats().bytes_stored);
+              service.Totals().stats.bytes_stored);
     EXPECT_EQ(static_cast<std::uint64_t>(sum_of("pamakv_curr_items")),
-              service.ItemCount());
+              service.Totals().items);
     EXPECT_EQ(sum_of("pamakv_slabs") + sum_of("pamakv_free_slabs"),
               sum_of("pamakv_total_slabs"));
     // Item accounting balances too: per-band stacks sum to the item count.

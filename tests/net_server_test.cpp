@@ -257,14 +257,14 @@ TEST_F(ServerTest, StatsMatchServiceTotals) {
   EXPECT_TRUE(client.Delete("y"));
 
   const auto stats = client.Stats();
-  const CacheStats totals = service_->TotalStats();
+  const CacheStats totals = service_->Totals().stats;
   EXPECT_EQ(Stat(stats, "cmd_get"), totals.gets);
   EXPECT_EQ(Stat(stats, "cmd_set"), totals.sets);
   EXPECT_EQ(Stat(stats, "get_hits"), totals.get_hits);
   EXPECT_EQ(Stat(stats, "get_misses"), totals.get_misses);
   EXPECT_EQ(Stat(stats, "bytes"), totals.bytes_stored);
   EXPECT_EQ(Stat(stats, "evictions"), totals.evictions);
-  EXPECT_EQ(Stat(stats, "curr_items"), service_->ItemCount());
+  EXPECT_EQ(Stat(stats, "curr_items"), service_->Totals().items);
   EXPECT_EQ(Stat(stats, "shards"), service_->shard_count());
   EXPECT_EQ(Stat(stats, "hash_collisions_resolved"), 0u);
 
@@ -280,14 +280,14 @@ TEST_F(ServerTest, FlushAllVersionQuit) {
   auto client = Connect();
   ASSERT_TRUE(client.Set("k1", 0, "v1"));
   ASSERT_TRUE(client.Set("k2", 0, "v2"));
-  EXPECT_EQ(service_->ItemCount(), 2u);
+  EXPECT_EQ(service_->Totals().items, 2u);
   client.FlushAll();
   // flush_all is an epoch cutover, not a synchronous wipe: the items die
   // lazily, so the count only drops as the dead entries are touched.
   std::string value;
   EXPECT_FALSE(client.Get("k1", value));
   EXPECT_FALSE(client.Get("k2", value));
-  EXPECT_EQ(service_->ItemCount(), 0u);
+  EXPECT_EQ(service_->Totals().items, 0u);
 
   EXPECT_EQ(client.Version(), "pamakv-0.2");
 
@@ -328,7 +328,7 @@ TEST_F(ServerTest, ManyConnectionsAcrossLoopThreads) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(server_->total_connections(), kClients);
-  const CacheStats totals = service_->TotalStats();
+  const CacheStats totals = service_->Totals().stats;
   EXPECT_EQ(totals.gets, kClients * kOpsPerClient);
   EXPECT_EQ(totals.get_hits + totals.get_misses, totals.gets);
   // 50 distinct keys per client, all re-hit after first touch.
@@ -530,7 +530,7 @@ TEST_F(ServerTest, GracefulShutdownCompletesInFlightRequest) {
 
   shutdown.join();
   EXPECT_TRUE(clean) << "drain should complete without force-closing";
-  EXPECT_EQ(service_->TotalStats().sets, 1u);  // the last set landed
+  EXPECT_EQ(service_->Totals().stats.sets, 1u);  // the last set landed
 }
 
 TEST_F(ServerTest, ShutdownForceClosesAfterGraceExpires) {
@@ -552,7 +552,7 @@ TEST_F(ServerTest, ShutdownForceClosesAfterGraceExpires) {
   shutdown.join();
   EXPECT_FALSE(clean) << "an unfinished request must force the drain";
   ExpectConnectionGone(staller);
-  EXPECT_EQ(service_->TotalStats().sets, 0u);
+  EXPECT_EQ(service_->Totals().stats.sets, 0u);
 }
 
 TEST_F(ServerTest, StatsExposeLifecycleCounters) {
@@ -1022,7 +1022,7 @@ TEST_F(ServerTest, ExpiryExactAtBoundary) {
   EXPECT_TRUE(client.Get("ttl", value));
   clock_.Advance(1ms);
   EXPECT_FALSE(client.Get("ttl", value));
-  EXPECT_EQ(service_->ItemCount(), 0u);
+  EXPECT_EQ(service_->Totals().items, 0u);
 
   const auto stats = client.Stats();
   EXPECT_EQ(Stat(stats, "expired"), 1u);
@@ -1130,8 +1130,8 @@ TEST_F(ServerTest, ReapSweepIsBatchBoundedUnderTenThousandExpired) {
   for (std::size_t i = 0; i < kItems; ++i) {
     ASSERT_TRUE(client.Set("e:" + std::to_string(i), 1, "v", 1));
   }
-  EXPECT_EQ(service_->ItemCount(), kItems);
-  EXPECT_EQ(service_->ExpiryNodeCount(), kItems);
+  EXPECT_EQ(service_->Totals().items, kItems);
+  EXPECT_EQ(service_->Totals().wheel_nodes, kItems);
 
   // Past the deadline tick: every item is due. Each sweep may reap at
   // most reap_batch per shard; the leftover carries to the next sweep.
@@ -1149,8 +1149,8 @@ TEST_F(ServerTest, ReapSweepIsBatchBoundedUnderTenThousandExpired) {
   }
   EXPECT_EQ(total, kItems);
   EXPECT_GE(sweeps, kItems / ceiling);
-  EXPECT_EQ(service_->ItemCount(), 0u);
-  EXPECT_EQ(service_->ExpiryNodeCount(), 0u);
+  EXPECT_EQ(service_->Totals().items, 0u);
+  EXPECT_EQ(service_->Totals().wheel_nodes, 0u);
 
   const auto stats = client.Stats();
   EXPECT_EQ(Stat(stats, "expired"), kItems);
@@ -1169,12 +1169,12 @@ TEST_F(ServerTest, ReapExpiresWhicheverKeyTheNodesHandleHolds) {
   ASSERT_TRUE(client.Delete("a"));
   ASSERT_TRUE(client.Set("b", 1, "v", 60));
   ASSERT_TRUE(client.Set("c", 1, "v", 60));
-  EXPECT_EQ(service_->ExpiryNodeCount(), 2u);
+  EXPECT_EQ(service_->Totals().wheel_nodes, 2u);
 
   clock_.Advance(62s);
   EXPECT_EQ(service_->ReapExpired(1'000), 2u);
-  EXPECT_EQ(service_->ItemCount(), 0u);
-  EXPECT_EQ(service_->ExpiryNodeCount(), 0u);
+  EXPECT_EQ(service_->Totals().items, 0u);
+  EXPECT_EQ(service_->Totals().wheel_nodes, 0u);
   EXPECT_EQ(Stat(client.Stats(), "reclaimed"), 2u);
 }
 
@@ -1190,7 +1190,7 @@ TEST_F(ServerTest, BackgroundReapTimerSweepsOnClockAdvance) {
   // the FakeClock and reclaims both without any client access.
   clock_.Advance(3s);
   ASSERT_TRUE(WaitUntil([&] { return server_->reaped_items() >= 2; }));
-  EXPECT_EQ(service_->ItemCount(), 0u);
+  EXPECT_EQ(service_->Totals().items, 0u);
   EXPECT_GE(server_->reap_sweeps(), 1u);
   const auto stats = client.Stats();
   EXPECT_EQ(Stat(stats, "reclaimed"), 2u);

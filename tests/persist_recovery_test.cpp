@@ -220,7 +220,7 @@ TEST_F(PersistRecoveryTest, SnapshotRestoresLayoutGhostsAndItems) {
       node.service->Get(Key(i), scratch, false);
     }
     ASSERT_TRUE(node.persister->SnapshotNow());
-    live_before = node.service->ItemCount();
+    live_before = node.service->Totals().items;
     for (std::size_t s = 0; s < node.service->shard_count(); ++s) {
       shapes.push_back(ShapeOf(node.service->shard_engine(s)));
     }
@@ -231,7 +231,7 @@ TEST_F(PersistRecoveryTest, SnapshotRestoresLayoutGhostsAndItems) {
   Node warm = MakeNode(dir.path());
   EXPECT_EQ(warm.report.snapshots_loaded, 2u);
   EXPECT_EQ(warm.report.items_recovered, live_before);
-  EXPECT_EQ(warm.service->ItemCount(), live_before);
+  EXPECT_EQ(warm.service->Totals().items, live_before);
   // The penalty-aware state round-trips exactly: slab layout, per-
   // subclass item counts, and ghost lists (keys, penalties, order).
   for (std::size_t s = 0; s < warm.service->shard_count(); ++s) {
@@ -378,7 +378,7 @@ TEST_F(PersistRecoveryTest, TornWalTailIsTruncatedNotFatal) {
   {
     Node node = MakeNode(dir.path());
     StoreN(*node.service, 0, 40);
-    live = node.service->ItemCount();
+    live = node.service->Totals().items;
     node.persister->Stop();
   }
   // Simulate a crash mid-append: a frame whose payload never fully made
@@ -394,7 +394,7 @@ TEST_F(PersistRecoveryTest, TornWalTailIsTruncatedNotFatal) {
 
   Node warm = MakeNode(dir.path());
   EXPECT_EQ(warm.report.wal_tails_truncated, 2u);
-  EXPECT_EQ(warm.service->ItemCount(), live);
+  EXPECT_EQ(warm.service->Totals().items, live);
   for (std::size_t i = 0; i < 40; ++i) {
     EXPECT_NE(GetsBlock(*warm.service, Key(i)), "") << Key(i);
   }
@@ -709,7 +709,7 @@ TEST_F(PersistRecoveryTest, TriggerSnapshotWritesASnapshotInBackground) {
     Node node = MakeNode(dir.path());
     node.persister->Start();
     StoreN(*node.service, 0, 25);
-    live = node.service->ItemCount();
+    live = node.service->Totals().items;
     ASSERT_TRUE(node.service->TriggerSnapshot());
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -730,7 +730,7 @@ TEST_F(PersistRecoveryTest, TriggerSnapshotWritesASnapshotInBackground) {
 
   Node warm = MakeNode(dir.path());
   EXPECT_GT(warm.report.snapshots_loaded, 0u);
-  EXPECT_EQ(warm.service->ItemCount(), live);
+  EXPECT_EQ(warm.service->Totals().items, live);
 }
 
 }  // namespace

@@ -85,12 +85,12 @@ void ChurnStaysWithinTheBound(const std::string& flash_dir,
   }
   const std::uint64_t growth = ResidentBytes() - before;
 
-  const std::uint64_t items = service.ItemCount();
+  const std::uint64_t items = service.Totals().items;
   std::uint64_t flash_items = 0;
   for (std::size_t s = 0; tier != nullptr && s < kShards; ++s) {
     flash_items += tier->ItemCount(s);
   }
-  const std::uint64_t nodes = service.ExpiryNodeCount();
+  const std::uint64_t nodes = service.Totals().wheel_nodes;
   const std::uint64_t bound =
       kCapacity + 384 * items + 160 * flash_items + 32 * nodes;
   std::fprintf(stderr,

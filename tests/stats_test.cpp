@@ -111,7 +111,7 @@ TEST(StatsMergeTest, EmptyShardIsAdditiveIdentity) {
 TEST(StatsSnapshotTest, PlusEqualsAndSnapshotAgree) {
   // Snapshot(a += b) must equal Snapshot(a) + Snapshot(b) entrywise —
   // i.e. no field is summed in one place and forgotten in the other. This
-  // is what makes per-shard aggregation in CacheService::TotalStats()
+  // is what makes per-shard aggregation in CacheService::Totals()
   // consistent with what each shard would report alone.
   CacheStats a = MakeStats(2);
   const CacheStats b = MakeStats(3);

@@ -95,14 +95,14 @@ TEST(StringKeyTest, ManyKeysNoFalseHits) {
   for (int i = 2000; i < 4000; ++i) {
     EXPECT_FALSE(Hit(*node.service, "item/" + std::to_string(i))) << i;
   }
-  EXPECT_EQ(node.service->CollisionsResolved(), 0u);
+  EXPECT_EQ(node.service->Totals().collisions, 0u);
 }
 
 TEST(StringKeyTest, UpdatesKeepOneCopy) {
   Node node = MakeNode();
   Set(*node.service, "k", std::string(64, 'a'));
   Set(*node.service, "k", std::string(128, 'b'));
-  EXPECT_EQ(node.service->ItemCount(), 1u);
+  EXPECT_EQ(node.service->Totals().items, 1u);
   std::vector<char> out;
   ASSERT_TRUE(node.service->Get("k", out, false));
   EXPECT_NE(std::string(out.begin(), out.end()).find(std::string(128, 'b')),
@@ -117,9 +117,9 @@ TEST(StringKeyTest, DelThenReinsertRoundTrip) {
   // Reinsert after delete behaves like a fresh store, not an update.
   ASSERT_TRUE(Set(*node.service, "churn", "second"));
   EXPECT_TRUE(Hit(*node.service, "churn"));
-  EXPECT_EQ(node.service->ItemCount(), 1u);
+  EXPECT_EQ(node.service->Totals().items, 1u);
   EXPECT_EQ(node.engine->stats().set_updates, 0u);
-  EXPECT_EQ(node.service->CollisionsResolved(), 0u);
+  EXPECT_EQ(node.service->Totals().collisions, 0u);
 }
 
 TEST(StringKeyTest, GetResolvesCollisionAsMissAndDropsSquatter) {
@@ -131,12 +131,12 @@ TEST(StringKeyTest, GetResolvesCollisionAsMissAndDropsSquatter) {
   std::vector<char> out;
   EXPECT_FALSE(node.service->Get("victim", out, false));
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
+  EXPECT_EQ(node.service->Totals().collisions, 1u);
   // ...and it is gone: the id is free for the verified owner.
   EXPECT_FALSE(node.engine->Contains(id));
   ASSERT_TRUE(Set(*node.service, "victim", "mine"));
   EXPECT_TRUE(Hit(*node.service, "victim"));
-  EXPECT_EQ(node.service->CollisionsResolved(), 1u);  // no further collisions
+  EXPECT_EQ(node.service->Totals().collisions, 1u);  // no further collisions
 }
 
 TEST(StringKeyTest, DelOfCollidingKeyMissesAndDropsSquatter) {
@@ -148,7 +148,7 @@ TEST(StringKeyTest, DelOfCollidingKeyMissesAndDropsSquatter) {
   // the squatter is not this key — and, as on every access, the squatter
   // is dropped so both names see consistent misses from here on.
   EXPECT_FALSE(node.service->Del("victim"));
-  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
+  EXPECT_EQ(node.service->Totals().collisions, 1u);
   EXPECT_FALSE(node.engine->Contains(id));
   EXPECT_FALSE(Hit(*node.service, "victim"));
 }
@@ -159,10 +159,10 @@ TEST(StringKeyTest, SetResolvesCollisionThenOwnsTheId) {
   ASSERT_TRUE(node.engine->Set(id, 64, 1000).stored);
 
   ASSERT_TRUE(Set(*node.service, "victim", "mine"));
-  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
+  EXPECT_EQ(node.service->Totals().collisions, 1u);
   EXPECT_TRUE(Hit(*node.service, "victim"));
-  EXPECT_EQ(node.service->ItemCount(), 1u);
-  EXPECT_EQ(node.service->CollisionsResolved(), 1u);
+  EXPECT_EQ(node.service->Totals().items, 1u);
+  EXPECT_EQ(node.service->Totals().collisions, 1u);
 }
 
 TEST(StringKeyTest, StatsFlowThrough) {
@@ -170,7 +170,7 @@ TEST(StringKeyTest, StatsFlowThrough) {
   Set(*node.service, "x", "value");
   Hit(*node.service, "x");
   Hit(*node.service, "y");  // never stored: charged the default penalty
-  const CacheStats stats = node.service->TotalStats();
+  const CacheStats stats = node.service->Totals().stats;
   EXPECT_EQ(stats.gets, 2u);
   EXPECT_EQ(stats.get_hits, 1u);
   EXPECT_EQ(stats.miss_penalty_total_us, 5000u);

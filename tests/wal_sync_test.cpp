@@ -109,7 +109,7 @@ TEST(WalSyncTest, AppendsRaceIntervalSyncsAndSnapshotRoll) {
     EXPECT_TRUE(node.persister->enabled());
   }
   Node warm = MakeNode(dir.path(), 4, 1);
-  EXPECT_EQ(warm.service->ItemCount(),
+  EXPECT_EQ(warm.service->Totals().items,
             static_cast<std::uint64_t>(kWriters * kStores));
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 0; i < kStores; i += 97) {
