@@ -179,8 +179,8 @@ void ExpectSameEngineState(CacheService& a, CacheService& b) {
     EngineSnapshot::Of(a.shard_engine(s))
         .ExpectEq(EngineSnapshot::Of(b.shard_engine(s)));
   }
-  const ServiceCounters ca = a.TotalCounters();
-  const ServiceCounters cb = b.TotalCounters();
+  const ServiceCounters ca = a.Totals().counters;
+  const ServiceCounters cb = b.Totals().counters;
   EXPECT_EQ(ca.cas_hits, cb.cas_hits);
   EXPECT_EQ(ca.cas_misses, cb.cas_misses);
   EXPECT_EQ(ca.cas_badval, cb.cas_badval);
@@ -190,8 +190,8 @@ void ExpectSameEngineState(CacheService& a, CacheService& b) {
   EXPECT_EQ(ca.decr_misses, cb.decr_misses);
   EXPECT_EQ(ca.touch_hits, cb.touch_hits);
   EXPECT_EQ(ca.touch_misses, cb.touch_misses);
-  EXPECT_EQ(a.ItemCount(), b.ItemCount());
-  EXPECT_EQ(a.ExpiryNodeCount(), b.ExpiryNodeCount());
+  EXPECT_EQ(a.Totals().items, b.Totals().items);
+  EXPECT_EQ(a.Totals().wheel_nodes, b.Totals().wheel_nodes);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,63 +318,72 @@ TEST(ShardAffinityTest, FlashBackedPipelineKeepsRequestOrder) {
   std::uint64_t cached_reads[2] = {0, 0};
   std::uint64_t cold_reads[2] = {0, 0};
   std::string fs_name;
-  for (const bool cold : {false, true}) {
-    SCOPED_TRACE(cold ? "pages dropped" : "pages resident");
-    TempDir dir;
-    fs_name = test::FilesystemOf(dir.path());
-    util::FakeClock clock(1'000'000'000);
-    CacheServiceConfig cfg;
-    cfg.shards = kShards;
-    cfg.capacity_bytes = kShards * 2 * 64;  // two 64-byte slabs per shard
-    cfg.clock = &clock;
-    cfg.unix_now_s = 1'700'000'000;
-    SizeClassConfig geometry;
-    geometry.slab_bytes = 64;
-    geometry.num_classes = 3;
-    CacheService service(cfg, [geometry](Bytes bytes) {
-      return MakeEngine("memcached", bytes, geometry);
-    });
-    flash::FlashConfig fcfg;
-    fcfg.dir = dir.path();
-    fcfg.shards = kShards;
-    fcfg.segment_bytes = 64 * 1024;
-    fcfg.cap_bytes = 64ULL << 20;  // never collects: no demoted key is lost
-    flash::FlashTier tier(fcfg);
-    service.AttachFlash(&tier);
-    service.RecoverFlash();
-    tier.StartIo();
+  // A pair of runs that read nothing inline with the pages resident, or
+  // nothing from the device with them dropped, tested only one path; the
+  // pair is run again (see flash_pages.hpp).
+  for (int attempt = 0; attempt < test::kColdAttempts &&
+                        (cached_reads[0] == 0 || cold_reads[1] == 0);
+       ++attempt) {
+    for (const bool cold : {false, true}) {
+      SCOPED_TRACE(cold ? "pages dropped" : "pages resident");
+      TempDir dir;
+      fs_name = test::FilesystemOf(dir.path());
+      util::FakeClock clock(1'000'000'000);
+      CacheServiceConfig cfg;
+      cfg.shards = kShards;
+      cfg.capacity_bytes = kShards * 2 * 64;  // two 64-byte slabs per shard
+      cfg.clock = &clock;
+      cfg.unix_now_s = 1'700'000'000;
+      SizeClassConfig geometry;
+      geometry.slab_bytes = 64;
+      geometry.num_classes = 3;
+      CacheService service(cfg, [geometry](Bytes bytes) {
+        return MakeEngine("memcached", bytes, geometry);
+      });
+      flash::FlashConfig fcfg;
+      fcfg.dir = dir.path();
+      fcfg.shards = kShards;
+      fcfg.segment_bytes = 64 * 1024;
+      fcfg.cap_bytes = 64ULL << 20;  // never collects: no demoted key is lost
+      flash::FlashTier tier(fcfg);
+      service.AttachFlash(&tier);
+      service.RecoverFlash();
+      tier.StartIo();
 
 #if PAMAKV_FAILPOINTS
-    // Skew group and read latencies so groups resume in adversarial orders.
-    ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
-    ASSERT_TRUE(util::FailPoints::Arm("flash.read", "sleep:2@p:0.3:7"));
+      // Skew group and read latencies so groups resume in adversarial
+      // orders.
+      ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
+      ASSERT_TRUE(util::FailPoints::Arm("flash.read", "sleep:2@p:0.3:7"));
 #endif
-    std::string got;
-    {
-      LoopThread home;
-      Harness conn(service, 64, &home.loop());
-      if (cold) {
-        for (std::size_t at = 0; at < script.size(); at += kColdSlice) {
-          test::ForceColdFlashReads(dir.path());
-          conn.Feed(std::string_view(script).substr(at, kColdSlice));
+      std::string got;
+      {
+        LoopThread home;
+        Harness conn(service, 64, &home.loop());
+        if (cold) {
+          for (std::size_t at = 0; at < script.size(); at += kColdSlice) {
+            test::ForceColdFlashReads(dir.path());
+            conn.Feed(std::string_view(script).substr(at, kColdSlice));
+          }
+          got = conn.TakeOutput();
+        } else {
+          got = conn.Run(script);
         }
-        got = conn.TakeOutput();
-      } else {
-        got = conn.Run(script);
       }
-    }
 #if PAMAKV_FAILPOINTS
-    util::FailPoints::DisableAll();
+      util::FailPoints::DisableAll();
 #endif
-    tier.StopIo();
+      tier.StopIo();
 
-    ASSERT_EQ(expect.size(), got.size());
-    EXPECT_EQ(expect, got) << "flash-served responses re-ordered or corrupted";
-    const ServiceCounters counters = service.TotalCounters();
-    EXPECT_GT(counters.flash_promotes, 0u);
-    EXPECT_EQ(counters.flash_read_failures, 0u);
-    cached_reads[cold] = test::CachedReads(tier);
-    cold_reads[cold] = test::ColdReads(tier);
+      ASSERT_EQ(expect.size(), got.size());
+      EXPECT_EQ(expect, got)
+          << "flash-served responses re-ordered or corrupted";
+      const ServiceCounters counters = service.Totals().counters;
+      EXPECT_GT(counters.flash_promotes, 0u);
+      EXPECT_EQ(counters.flash_read_failures, 0u);
+      cached_reads[cold] = test::CachedReads(tier);
+      cold_reads[cold] = test::ColdReads(tier);
+    }
   }
   std::printf("flash reads: resident run %llu inline / %llu parked, "
               "dropped run %llu inline / %llu parked\n",
@@ -648,7 +657,7 @@ TEST(ShardAffinityTest, FlashBatchesServeDemotedKeysOverTheWire) {
   client.Close();
   EXPECT_TRUE(server.Shutdown(std::chrono::milliseconds(10'000)));
   EXPECT_GT(batches, 0u);
-  const ServiceCounters counters = service.TotalCounters();
+  const ServiceCounters counters = service.Totals().counters;
   EXPECT_GT(counters.flash_promotes, 0u);
   EXPECT_EQ(counters.flash_read_failures, 0u);
 }
@@ -693,7 +702,7 @@ TEST(ShardAffinityTest, PageCacheFlashReadsCompleteInsideIngest) {
     }
   }
   tier.StopIo();
-  const ServiceCounters counters = service.TotalCounters();
+  const ServiceCounters counters = service.Totals().counters;
   EXPECT_GT(counters.flash_promotes, 0u);
   EXPECT_EQ(counters.flash_read_failures, 0u);
   EXPECT_GT(test::CachedReads(tier), 0u);
