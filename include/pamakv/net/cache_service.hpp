@@ -156,9 +156,8 @@ struct ServiceTotals {
   std::uint64_t wheel_nodes = 0;  ///< timer-wheel nodes, live + stale
   std::uint64_t free_slabs = 0;
   std::uint64_t total_slabs = 0;
-  /// Penalty bands per class; the per-(class, band) vectors below are
-  /// indexed class * bands + band.
-  std::uint32_t bands = 0;
+  /// Per (class, band), indexed class * bands + band, where bands is the
+  /// engines' num_subclasses().
   std::vector<std::uint64_t> slabs;
   std::vector<std::uint64_t> subclass_items;
   std::vector<std::uint64_t> ghost_hits;  ///< receiving-segment ghost hits
@@ -166,8 +165,8 @@ struct ServiceTotals {
   /// (row-major by source band); both empty unless the shards run PAMA.
   std::vector<PamaPolicy::ValueFlow> pama_flow;
   std::vector<std::uint64_t> migration_flow;
-  /// The flash tier's totals; `flash_demotes` (per band) is empty, and
-  /// the rest zero, with no tier attached.
+  /// The flash tier's totals, zero with no tier attached;
+  /// `flash_demotes` (per band) is filled only with a tier.
   flash::ShardStats flash;
   std::uint64_t flash_items = 0;
   std::uint64_t flash_bytes = 0;       ///< segment bytes, live + dead

@@ -5,8 +5,8 @@
 //
 //  * Histograms — log-spaced buckets over [min, max] (same bucket math as
 //    util/histogram.hpp's LogHistogram) with one relaxed atomic per
-//    bucket plus count/sum, built for latency recording: Observe() is two
-//    relaxed fetch_adds and never allocates, which keeps the
+//    bucket plus count/sum, built for latency recording: Observe() is
+//    three relaxed fetch_adds and never allocates, which keeps the
 //    zero-steady-state-alloc harness green.
 //  * Collectors — a callback that appends gauge samples to a snapshot.
 //    Values derived from state behind existing locks (per-shard engine

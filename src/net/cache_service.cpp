@@ -1436,7 +1436,6 @@ ServiceTotals CacheService::Totals(bool series) const {
   const std::uint32_t bands = proto.num_subclasses();
   const bool pama = dynamic_cast<const PamaPolicy*>(&proto.policy()) != nullptr;
   ServiceTotals t;
-  t.bands = bands;
   if (series) {
     t.slabs.assign(std::size_t{proto.classes().num_classes()} * bands, 0);
     t.subclass_items.assign(t.slabs.size(), 0);
