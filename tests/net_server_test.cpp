@@ -917,6 +917,27 @@ TEST_F(ServerTest, StatsDetailMatchesPrometheusEndpointMidLoad) {
   http.Stop();
 }
 
+TEST(MetricsWiringTest, WiringTwiceKeepsOneSetOfSeries) {
+  // A service or server wired again on the same registry (a restart)
+  // replaces its collector: the exposition neither doubles nor moves.
+  CacheServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.capacity_bytes = 4ULL * 1024 * 1024;
+  CacheService service(cfg, [](Bytes bytes) {
+    return MakeEngine("pama", bytes, SizeClassConfig{});
+  });
+  ASSERT_TRUE(service.Set("k", 1'000, "value"));
+  Server server(ServerConfig{}, service);
+  util::MetricsRegistry registry;
+  service.RegisterMetrics(registry);
+  server.EnableMetrics(registry);
+  const std::string once = registry.Snapshot().RenderPrometheus();
+  service.RegisterMetrics(registry);
+  server.EnableMetrics(registry);
+  EXPECT_EQ(registry.Snapshot().RenderPrometheus(), once);
+  EXPECT_NE(once.find("pamakv_cmd_set 1\n"), std::string::npos);
+}
+
 TEST_F(ServerTest, PlainStatsOmitsRegistrySeries) {
   StartServer("memcached", 1, 2, /*with_metrics=*/true);
   auto client = Connect();
