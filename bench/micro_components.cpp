@@ -79,13 +79,23 @@ void BM_LruStackRank(benchmark::State& state) {
 }
 BENCHMARK(BM_LruStackRank)->Arg(1'000)->Arg(100'000)->Arg(1'000'000);
 
+// A ghost push and a ghost lookup by key, with the key index the engine
+// keeps beside the lists: the push drops the key's older ghost, forgets
+// the key a wrapping ring overwrites and maps the key to its new position.
 void BM_GhostListPushLookup(benchmark::State& state) {
   GhostLists ghost({static_cast<std::size_t>(state.range(0))});
+  HashIndex index;
+  index.Reserve(static_cast<std::size_t>(state.range(0)));
   Rng rng(3);
   for (auto _ : state) {
     const KeyId key = rng.NextBounded(1 << 20);
-    ghost.Push(0, key, 1000);
-    benchmark::DoNotOptimize(ghost.Lookup(0, rng.NextBounded(1 << 20)));
+    const ItemHandle old = index.Find(key);
+    if (old != kInvalidHandle) ghost.Remove(old);
+    const GhostLists::Pushed pushed = ghost.Push(0, key, 1000);
+    if (pushed.displaced) index.Erase(*pushed.displaced);
+    index.Upsert(key, static_cast<ItemHandle>(pushed.pos));
+    const ItemHandle at = index.Find(rng.NextBounded(1 << 20));
+    if (at != kInvalidHandle) benchmark::DoNotOptimize(ghost.Lookup(0, at));
   }
   state.SetItemsProcessed(state.iterations());
 }

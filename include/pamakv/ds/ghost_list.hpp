@@ -7,63 +7,85 @@
 // segment, and so on.
 //
 // An engine keeps its lists, one per (class, band) subclass, in this one
-// object. Each is a ring buffer keyed by eviction sequence number; an
-// entry's rank is the count of live entries evicted after it in its list,
-// answered exactly by a Fenwick tree over the ring's slots, which also
-// skips the holes removals leave. One HashIndex maps each key to its entry
-// across every list: a key has at most one ghost per engine, and a miss
-// can find it without knowing its subclass. Live entries are bounded by
-// the total ring capacity, so the index is reserved once and Push never
-// rehashes or allocates.
+// object: rings laid back to back in one array of 16-byte entries, each
+// just a key and a penalty. A ghost is named by its position in the array.
+// The ring a position lies in gives its list, and the ring's write cursor
+// gives its eviction order, so an entry stores neither. One bit per
+// position marks the live entries (a RankBitmap), and an entry's rank is
+// the count of live positions its ring wrote after it, which skips the
+// holes removals leave.
+//
+// The lists keep no key index. The engine's HashIndex maps an evicted key
+// to its ghost's position (CacheEngine), so the caller drops a key's older
+// ghost before pushing a new one, and Push names the key whose entry a
+// wrapping ring overwrote so the caller can forget it. The array is
+// allocated at construction but not written there: a page of it becomes
+// resident only once a push writes a ghost into it, and nothing reads an
+// entry whose live bit is clear.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "pamakv/cache/hash_index.hpp"
-#include "pamakv/util/fenwick.hpp"
+#include "pamakv/ds/rank_bitmap.hpp"
 #include "pamakv/util/types.hpp"
 
 namespace pamakv {
 
 class GhostLists {
  public:
+  /// One ghost: the evicted key and the penalty it left with. Trivial, so
+  /// the ring array is left unwritten until a push fills an entry.
+  struct Evicted {
+    KeyId key;
+    MicroSecs penalty;
+  };
+  static_assert(sizeof(Evicted) == 16);
+  static_assert(std::is_trivial_v<Evicted>);
+
   struct Hit {
     MicroSecs penalty;
     std::size_t rank;  ///< 0 == most recently evicted
   };
 
-  /// Where a key's ghost lives.
-  struct Ghost {
-    std::size_t list;
-    MicroSecs penalty;
-  };
-
-  /// One live entry as captured for persistence.
-  struct Evicted {
-    KeyId key = 0;
-    MicroSecs penalty = 0;
+  /// Where a push wrote its ghost, and whose ghost it overwrote.
+  struct Pushed {
+    std::size_t pos;
+    /// The key of the live entry a wrapping ring overwrote, if any.
+    std::optional<KeyId> displaced;
   };
 
   /// One list per element of `capacities`; each must be > 0.
   explicit GhostLists(const std::vector<std::size_t>& capacities);
 
-  /// Records an eviction into `list`. The key's older ghost, in any list,
-  /// is dropped first. The list's oldest entry is overwritten once its
-  /// ring wraps, bounding memory at its capacity.
-  void Push(std::size_t list, KeyId key, MicroSecs penalty);
+  /// Records an eviction into `list` at its ring's next position. Once the
+  /// ring wraps, that position's oldest entry, if still live, is dropped,
+  /// bounding the list at its capacity. The key must have no live ghost.
+  Pushed Push(std::size_t list, KeyId key, MicroSecs penalty) noexcept;
 
-  /// The key's ghost in `list`, with its rank there.
-  [[nodiscard]] std::optional<Hit> Lookup(std::size_t list, KeyId key) const;
+  /// Drops the live ghost at `pos` (its key was cached or evicted again).
+  void Remove(std::size_t pos) noexcept;
 
-  /// The key's ghost, whichever list holds it.
-  [[nodiscard]] std::optional<Ghost> Find(KeyId key) const;
+  /// The live ghost at `pos`.
+  [[nodiscard]] const Evicted& At(std::size_t pos) const noexcept {
+    return entries_[pos];
+  }
 
-  /// Removes the key's ghost (the item was re-inserted into the cache).
-  /// Returns true if it had one.
-  bool Remove(KeyId key);
+  /// The live ghost at `pos`, which lies in `list`'s ring, with its rank
+  /// there. O(log positions).
+  [[nodiscard]] Hit Lookup(std::size_t list, std::size_t pos) const noexcept;
+
+  /// Whether `pos` lies in `list`'s ring.
+  [[nodiscard]] bool InList(std::size_t list, std::size_t pos) const noexcept {
+    return pos - rings_[list].base < rings_[list].capacity;
+  }
+
+  /// The list whose ring holds `pos`. O(log lists).
+  [[nodiscard]] std::size_t ListOf(std::size_t pos) const noexcept;
 
   /// Live entries of `list` ordered oldest eviction first — replaying them
   /// through Push() in this order reproduces every rank exactly. Snapshot
@@ -71,44 +93,28 @@ class GhostLists {
   [[nodiscard]] std::vector<Evicted> SnapshotOldestFirst(
       std::size_t list) const;
 
-  [[nodiscard]] bool Contains(std::size_t list, KeyId key) const noexcept {
-    const ItemHandle pos = index_.Find(key);
-    return pos != kInvalidHandle && entries_[pos].list == list;
-  }
+  /// Live entries of `list`. O(log positions).
   [[nodiscard]] std::size_t size(std::size_t list) const noexcept {
-    return rings_[list].size;
+    const Ring& ring = rings_[list];
+    return live_.Count(ring.base, ring.base + ring.capacity);
   }
   [[nodiscard]] std::size_t capacity(std::size_t list) const noexcept {
     return rings_[list].capacity;
   }
+  /// Every position is below this.
+  [[nodiscard]] std::size_t positions() const noexcept { return positions_; }
 
  private:
-  struct Entry {
-    KeyId key = 0;
-    MicroSecs penalty = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t list = 0;
-    bool live = false;
-  };
-
   struct Ring {
     std::size_t base = 0;  ///< first position in entries_
     std::size_t capacity = 0;
-    std::size_t size = 0;  ///< live entries
-    std::uint64_t next_seq = 0;
-    FenwickTree live;  ///< 1 per live ring slot
+    std::size_t cursor = 0;  ///< next slot to write, in [0, capacity)
   };
 
-  /// Drops the live entry at ring slot `slot` of `ring`.
-  void Kill(Ring& ring, std::size_t slot) noexcept;
-  /// Count of live entries of `ring` with sequence numbers in
-  /// (seq, next_seq).
-  [[nodiscard]] std::size_t LiveNewerThan(const Ring& ring,
-                                          std::uint64_t seq) const;
-
-  std::vector<Entry> entries_;  ///< every ring, back to back
   std::vector<Ring> rings_;
-  HashIndex index_;  ///< key -> position in entries_
+  std::size_t positions_ = 0;
+  std::unique_ptr<Evicted[]> entries_;  ///< every ring, back to back
+  RankBitmap live_;                     ///< one bit per position
 };
 
 }  // namespace pamakv

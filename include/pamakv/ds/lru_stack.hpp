@@ -9,9 +9,9 @@
 // Exact ranks come from a per-node access stamp. A node takes the next
 // stamp whenever it reaches the top, so stamps strictly increase from the
 // LRU bottom to the MRU top, and a node's rank is the number of live stamps
-// below (or above) its own. A bitmap of stamp positions with a Fenwick tree
-// over its words counts them in O(log n), the technique GhostList uses for
-// ghost ranks. Only stacks that are asked for a rank pay for it: the first
+// below (or above) its own. A RankBitmap of stamp positions counts them in
+// O(log n), the structure GhostLists uses for ghost ranks. Only stacks
+// that are asked for a rank pay for it: the first
 // RankFromTop or RankFromBottom call builds the index, and every later
 // update maintains it. Stacks that are never queried (Bloom-mode PAMA,
 // Memcached, PSA, Twemcache, Facebook-age) stay a bare list.
@@ -36,7 +36,7 @@
 #include <deque>
 #include <vector>
 
-#include "pamakv/util/fenwick.hpp"
+#include "pamakv/ds/rank_bitmap.hpp"
 #include "pamakv/util/types.hpp"
 
 namespace pamakv {
@@ -93,26 +93,7 @@ class LruStack {
   [[nodiscard]] bool CheckInvariants() const noexcept;
 
  private:
-  /// Which stamp positions hold a node: one bit per position, plus a
-  /// Fenwick tree over the count of set bits in each 64-bit word, so the
-  /// tree is 64x smaller than the span and stays cache-resident.
-  struct RankIndex {
-    std::vector<std::uint64_t> bits;
-    FenwickTree word_counts;
-
-    RankIndex() = default;
-    explicit RankIndex(std::size_t words)
-        : bits(words, 0), word_counts(words) {}
-    [[nodiscard]] std::size_t span() const noexcept { return bits.size() * 64; }
-    void Set(std::uint64_t stamp) noexcept;
-    void Clear(std::uint64_t stamp) noexcept;
-    /// Positions below `stamp` that hold a node.
-    [[nodiscard]] std::size_t CountBelow(std::uint64_t stamp) const noexcept;
-    /// Marks exactly positions [0, count).
-    void Fill(std::size_t count) noexcept;
-  };
-
-  [[nodiscard]] bool Ranked() const noexcept { return !ranks_.bits.empty(); }
+  [[nodiscard]] bool Ranked() const noexcept { return !ranks_.empty(); }
   void Unlink(Node* node) noexcept;
   void LinkTop(Node* node) noexcept;
   /// Gives the (linked) top node the next stamp, renumbering first when the
@@ -129,8 +110,9 @@ class LruStack {
   /// Recycled nodes, chained through Node::down.
   Node* free_ = nullptr;
   std::deque<Node> pool_;
-  // Built by the first rank query; empty until then.
-  mutable RankIndex ranks_;
+  // Which stamp positions hold a node. Built by the first rank query;
+  // empty until then.
+  mutable RankBitmap ranks_;
   mutable std::uint64_t next_stamp_ = 0;
 };
 

@@ -1,50 +1,20 @@
 #include "pamakv/ds/lru_stack.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 namespace pamakv {
 
 namespace {
 
-/// Index words for a stack of `size` nodes: a span of at least twice the
-/// size (PushTop grows it past that), so a renumber is paid for by at
-/// least span / 2 new stamps.
-std::size_t WordsFor(std::size_t size) noexcept {
-  return std::max<std::size_t>(1, (4 * size + 63) / 64);
+/// Index span for a stack of `size` nodes: at least twice the size
+/// (PushTop grows it past that), so a renumber is paid for by at least
+/// span / 2 new stamps.
+std::size_t SpanFor(std::size_t size) noexcept {
+  return std::max<std::size_t>(64, 4 * size);
 }
 
 }  // namespace
-
-void LruStack::RankIndex::Set(std::uint64_t stamp) noexcept {
-  bits[stamp / 64] |= std::uint64_t{1} << (stamp % 64);
-  word_counts.Add(stamp / 64, +1);
-}
-
-void LruStack::RankIndex::Clear(std::uint64_t stamp) noexcept {
-  bits[stamp / 64] &= ~(std::uint64_t{1} << (stamp % 64));
-  word_counts.Add(stamp / 64, -1);
-}
-
-std::size_t LruStack::RankIndex::CountBelow(
-    std::uint64_t stamp) const noexcept {
-  const std::uint64_t below = (std::uint64_t{1} << (stamp % 64)) - 1;
-  return static_cast<std::size_t>(word_counts.PrefixSum(stamp / 64)) +
-         static_cast<std::size_t>(std::popcount(bits[stamp / 64] & below));
-}
-
-void LruStack::RankIndex::Fill(std::size_t count) noexcept {
-  const auto word_count = [count](std::size_t w) -> std::int64_t {
-    return static_cast<std::int64_t>(std::min<std::size_t>(
-        64, count > 64 * w ? count - 64 * w : 0));
-  };
-  for (std::size_t w = 0; w < bits.size(); ++w) {
-    const auto n = static_cast<unsigned>(word_count(w));
-    bits[w] = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-  }
-  word_counts.Assign(word_count);
-}
 
 void LruStack::Unlink(Node* node) noexcept {
   (node->up != nullptr ? node->up->down : top_) = node->down;
@@ -71,9 +41,9 @@ void LruStack::StampTop(Node* node) noexcept {
 
 LruStack::Node* LruStack::PushTop(ItemHandle value) {
   // Everything that can throw runs before the first mutation.
-  RankIndex grown;
+  RankBitmap grown;
   if (Ranked() && 2 * (size_ + 1) > ranks_.span()) {
-    grown = RankIndex(WordsFor(size_ + 1));
+    grown = RankBitmap(SpanFor(size_ + 1));
   }
   Node* node = free_;
   if (node != nullptr) {
@@ -85,7 +55,7 @@ LruStack::Node* LruStack::PushTop(ItemHandle value) {
   node->value = value;
   LinkTop(node);
   ++size_;
-  if (grown.bits.empty()) {
+  if (grown.empty()) {
     StampTop(node);
   } else {
     ranks_ = std::move(grown);
@@ -112,7 +82,7 @@ void LruStack::MoveToTop(Node* node) noexcept {
 
 std::size_t LruStack::RankFromBottom(const Node* node) const {
   if (!Ranked()) {
-    ranks_ = RankIndex(WordsFor(size_));  // a throw leaves ranks_ empty
+    ranks_ = RankBitmap(SpanFor(size_));  // a throw leaves ranks_ empty
     Renumber();
   }
   return ranks_.CountBelow(node->stamp);
@@ -141,9 +111,7 @@ bool LruStack::CheckInvariants() const noexcept {
       return false;
     }
     if (n->up == nullptr && n != top_) return false;
-    if (Ranked() &&
-        (n->stamp >= ranks_.span() ||
-         ((ranks_.bits[n->stamp / 64] >> (n->stamp % 64)) & 1) == 0)) {
+    if (Ranked() && (n->stamp >= ranks_.span() || !ranks_.Test(n->stamp))) {
       return false;
     }
   }
@@ -152,14 +120,7 @@ bool LruStack::CheckInvariants() const noexcept {
   // The index marks exactly the live stamps, and each word's count in the
   // tree matches its bits.
   if (next_stamp_ > ranks_.span()) return false;
-  std::size_t marked = 0;
-  for (std::size_t w = 0; w < ranks_.bits.size(); ++w) {
-    const int ones = std::popcount(ranks_.bits[w]);
-    if (ranks_.word_counts.RangeSum(w, w + 1) != ones) return false;
-    marked += static_cast<std::size_t>(ones);
-  }
-  return marked == size_ &&
-         ranks_.word_counts.Total() == static_cast<std::int64_t>(size_);
+  return ranks_.CountsMatchBits() && ranks_.Total() == size_;
 }
 
 }  // namespace pamakv

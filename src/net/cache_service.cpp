@@ -934,7 +934,7 @@ void CacheService::RestoreShard(std::size_t index,
         }
         if (i < st.ghosts.size()) {
           for (const persist::GhostEntry& g : st.ghosts[i]) {
-            engine.ghosts().Push(i, g.key, g.penalty);
+            engine.PushGhost(c, s, g.key, g.penalty);
           }
         }
       }
@@ -1074,8 +1074,7 @@ void CacheService::GhostRoute(Shard& shard, KeyId id,
   // (class, band) may not exist in this configuration.
   if (slot.cls < engine.classes().num_classes() &&
       slot.band < engine.num_subclasses()) {
-    engine.ghosts().Push(engine.SubclassIndex(slot.cls, slot.band), id,
-                         slot.penalty);
+    engine.PushGhost(slot.cls, slot.band, id, slot.penalty);
   }
 }
 

@@ -28,8 +28,7 @@ void PamaPolicy::OnMiss(KeyId key, Bytes /*size*/, MicroSecs penalty,
                         ClassId cls, SubclassId sub) {
   // A would-have-been hit: if the key lives in the subclass's ghost region,
   // credit the ghost segment it occupies with the avoided penalty.
-  const auto hit =
-      engine().ghosts().Lookup(engine().SubclassIndex(cls, sub), key);
+  const auto hit = engine().LookupGhost(engine().SubclassIndex(cls, sub), key);
   if (!hit) return;
   const std::size_t spp = engine().classes().SlotsPerSlab(cls);
   // The ghost's recorded penalty may differ slightly from the trace's

@@ -122,7 +122,7 @@ TEST(CacheEngineTest, DelRemovesWithoutGhost) {
   EXPECT_FALSE(engine->Contains(1));
   EXPECT_FALSE(engine->Del(1));
   EXPECT_EQ(engine->stats().dels, 2u);
-  EXPECT_FALSE(engine->ghosts().Contains(engine->SubclassIndex(0, 0), 1));
+  EXPECT_FALSE(engine->LookupGhost(engine->SubclassIndex(0, 0), 1).has_value());
   EXPECT_EQ(engine->pool().ClassSlotsInUse(0), 0u);
 }
 
@@ -144,7 +144,7 @@ TEST(CacheEngineTest, EvictionRecordsGhost) {
   engine->Set(1, 512, 777);
   engine->Set(2, 512, 100);
   engine->Set(3, 512, 100);  // evicts key 1 (LRU)
-  const auto ghost = engine->ghosts().Lookup(engine->SubclassIndex(3, 0), 1);
+  const auto ghost = engine->LookupGhost(engine->SubclassIndex(3, 0), 1);
   ASSERT_TRUE(ghost.has_value());
   EXPECT_EQ(ghost->penalty, 777);
   EXPECT_EQ(ghost->rank, 0u);
@@ -155,9 +155,9 @@ TEST(CacheEngineTest, ReinsertionClearsGhostEntry) {
   engine->Set(1, 512, 100);
   engine->Set(2, 512, 100);
   engine->Set(3, 512, 100);  // evicts 1 -> ghost
-  ASSERT_TRUE(engine->ghosts().Contains(engine->SubclassIndex(3, 0), 1));
+  ASSERT_TRUE(engine->LookupGhost(engine->SubclassIndex(3, 0), 1).has_value());
   engine->Set(1, 512, 100);  // re-cached
-  EXPECT_FALSE(engine->ghosts().Contains(engine->SubclassIndex(3, 0), 1));
+  EXPECT_FALSE(engine->LookupGhost(engine->SubclassIndex(3, 0), 1).has_value());
 }
 
 TEST(CacheEngineTest, GhostHitCounted) {
@@ -207,8 +207,8 @@ TEST(CacheEngineTest, MigrateSlabMovesCapacity) {
   EXPECT_EQ(engine->item_count(), 0u);  // both items evicted
   EXPECT_EQ(engine->stats().slab_migrations, 1u);
   // The evicted keys are remembered in class 3's ghost list.
-  EXPECT_TRUE(engine->ghosts().Contains(engine->SubclassIndex(3, 0), 1));
-  EXPECT_TRUE(engine->ghosts().Contains(engine->SubclassIndex(3, 0), 2));
+  EXPECT_TRUE(engine->LookupGhost(engine->SubclassIndex(3, 0), 1).has_value());
+  EXPECT_TRUE(engine->LookupGhost(engine->SubclassIndex(3, 0), 2).has_value());
 }
 
 TEST(CacheEngineTest, MigrateSlabFailsWithoutSupply) {

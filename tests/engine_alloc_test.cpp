@@ -1,8 +1,10 @@
 // Verifies the engine's steady-state hot path is allocation-free: once the
-// cache has warmed up (item table, LRU node pools and rank indexes, ghost
-// tables and hash index at their structural maxima), Get/Set/eviction
-// cycles must not touch the heap. Guards against regressions like the
-// node-allocating std::unordered_map the ghost lists used to carry.
+// cache has warmed up (item table, LRU node pools and rank indexes, and
+// the one hash index that holds cached and evicted keys at their
+// structural maxima), Get/Set/eviction cycles must not touch the heap.
+// The ghost rings are allocated whole at construction; an eviction
+// re-points its key's index slot in place. Guards against regressions like
+// the node-allocating std::unordered_map the ghost lists used to carry.
 //
 // Allocation counting lives in alloc_count.cpp (shared with
 // net_alloc_test, which extends the same discipline to the server's

@@ -54,7 +54,7 @@ TEST(EngineEdgeTest, RefusedStoreIsGhosted) {
   const auto refused = engine.Set(999, 512, 100);
   EXPECT_FALSE(refused.stored);
   EXPECT_EQ(engine.stats().set_failures, 1u);
-  EXPECT_TRUE(engine.ghosts().Contains(engine.SubclassIndex(3, 0), 999));
+  EXPECT_TRUE(engine.LookupGhost(engine.SubclassIndex(3, 0), 999).has_value());
 }
 
 TEST(EngineEdgeTest, CacheStatsSinceSubtractsComponentwise) {

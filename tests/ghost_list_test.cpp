@@ -3,22 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <unordered_map>
 
+#include "keyed_ghosts.hpp"
 #include "pamakv/util/rng.hpp"
 
 namespace pamakv {
 namespace {
 
+using test::KeyedGhosts;
+
 TEST(GhostListTest, EmptyLookupMisses) {
-  GhostLists g({8});
+  KeyedGhosts g({8});
   EXPECT_EQ(g.Lookup(0, 1), std::nullopt);
   EXPECT_EQ(g.size(0), 0u);
   EXPECT_FALSE(g.Remove(1));
 }
 
 TEST(GhostListTest, MostRecentEvictionHasRankZero) {
-  GhostLists g({8});
+  KeyedGhosts g({8});
   g.Push(0, 1, 100);
   g.Push(0, 2, 200);
   g.Push(0, 3, 300);
@@ -29,7 +31,7 @@ TEST(GhostListTest, MostRecentEvictionHasRankZero) {
 }
 
 TEST(GhostListTest, CapacityEvictsOldest) {
-  GhostLists g({3});
+  KeyedGhosts g({3});
   g.Push(0, 1, 10);
   g.Push(0, 2, 20);
   g.Push(0, 3, 30);
@@ -41,7 +43,7 @@ TEST(GhostListTest, CapacityEvictsOldest) {
 }
 
 TEST(GhostListTest, RemoveCompactsRanks) {
-  GhostLists g({8});
+  KeyedGhosts g({8});
   g.Push(0, 1, 10);
   g.Push(0, 2, 20);
   g.Push(0, 3, 30);
@@ -53,7 +55,7 @@ TEST(GhostListTest, RemoveCompactsRanks) {
 }
 
 TEST(GhostListTest, RePushMovesKeyToFront) {
-  GhostLists g({8});
+  KeyedGhosts g({8});
   g.Push(0, 1, 10);
   g.Push(0, 2, 20);
   g.Push(0, 1, 15);  // re-evicted with a new penalty
@@ -64,7 +66,7 @@ TEST(GhostListTest, RePushMovesKeyToFront) {
 }
 
 TEST(GhostListTest, ContainsTracksMembership) {
-  GhostLists g({4});
+  KeyedGhosts g({4});
   EXPECT_FALSE(g.Contains(0, 9));
   g.Push(0, 9, 1);
   EXPECT_TRUE(g.Contains(0, 9));
@@ -73,7 +75,7 @@ TEST(GhostListTest, ContainsTracksMembership) {
 }
 
 TEST(GhostListTest, KeyHasOneGhostAcrossLists) {
-  GhostLists g({8, 8});
+  KeyedGhosts g({8, 8});
   g.Push(0, 1, 10);
   g.Push(0, 2, 20);
   EXPECT_EQ(g.Lookup(0, 1)->rank, 1u);
@@ -90,12 +92,40 @@ TEST(GhostListTest, KeyHasOneGhostAcrossLists) {
   EXPECT_EQ(g.size(1), 0u);
 }
 
+TEST(GhostListTest, PushNamesTheLiveKeyAWrapOverwrites) {
+  GhostLists g({2, 3});
+  EXPECT_EQ(g.positions(), 5u);
+  const auto a = g.Push(0, 1, 10);
+  const auto b = g.Push(0, 2, 20);
+  EXPECT_FALSE(a.displaced.has_value());
+  EXPECT_FALSE(b.displaced.has_value());
+  EXPECT_TRUE(g.InList(0, a.pos));
+  EXPECT_FALSE(g.InList(1, a.pos));
+  EXPECT_EQ(g.ListOf(b.pos), 0u);
+  const auto c = g.Push(0, 3, 30);  // the ring wraps onto key 1
+  EXPECT_EQ(c.pos, a.pos);
+  ASSERT_TRUE(c.displaced.has_value());
+  EXPECT_EQ(*c.displaced, 1u);
+  g.Remove(b.pos);
+  const auto d = g.Push(0, 4, 40);  // wraps onto the hole: no key lost
+  EXPECT_EQ(d.pos, b.pos);
+  EXPECT_FALSE(d.displaced.has_value());
+  EXPECT_EQ(g.Lookup(0, c.pos).rank, 1u);
+  EXPECT_EQ(g.Lookup(0, d.pos).rank, 0u);
+  const auto e = g.Push(1, 5, 50);
+  EXPECT_EQ(g.ListOf(e.pos), 1u);
+  EXPECT_EQ(g.At(e.pos).key, 5u);
+  EXPECT_EQ(g.At(e.pos).penalty, 50);
+  EXPECT_EQ(g.size(0), 2u);
+  EXPECT_EQ(g.size(1), 1u);
+}
+
 TEST(GhostListTest, ZeroCapacityRejected) {
   EXPECT_THROW(GhostLists({8, 0}), std::invalid_argument);
 }
 
 TEST(GhostListTest, WrapsManyTimesWithoutDrift) {
-  GhostLists g({16});
+  KeyedGhosts g({16});
   for (KeyId k = 0; k < 1000; ++k) g.Push(0, k, 1);
   // Only the last 16 keys survive, ranks 0..15 newest-first.
   for (std::size_t r = 0; r < 16; ++r) {
@@ -111,7 +141,7 @@ TEST(GhostListTest, WrapsManyTimesWithoutDrift) {
 // sequence s - capacity, if it is still live.
 TEST(GhostListTest, AgreesWithDequeModelUnderRandomOps) {
   const std::size_t cap = 32;
-  GhostLists g({cap});
+  KeyedGhosts g({cap});
   struct Entry {
     KeyId key;
     MicroSecs penalty;

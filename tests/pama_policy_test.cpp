@@ -101,7 +101,7 @@ TEST(PamaPolicyTest, StarvedSubclassBootstrapsViaGhost) {
   const auto refused = e.Set(1, 512, 100);
   EXPECT_FALSE(refused.stored);
   EXPECT_EQ(h.pama->decisions().refusals, 1u);
-  EXPECT_TRUE(e.ghosts().Contains(e.SubclassIndex(3, 0), 1));
+  EXPECT_TRUE(e.LookupGhost(e.SubclassIndex(3, 0), 1).has_value());
 
   // The key re-misses: the ghost hit builds class 3's incoming value above
   // the idle donor's zero outgoing value, so the retry is admitted via a
