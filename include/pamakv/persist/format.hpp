@@ -71,10 +71,11 @@ inline constexpr std::size_t kMaxFramePayload = 2u * 1024 * 1024;
 /// classified as corruption, not a tail.
 inline constexpr std::size_t kCorruptionScanWindow = 4u * 1024 * 1024;
 
-/// Reads the whole file open at `fd` into one buffer sized by fstat(2),
-/// with pread from offset 0. False (errno set, `out` untouched) when fstat
-/// or a read fails, or the file ends before its fstat size.
-[[nodiscard]] bool ReadWholeFile(int fd, FileBytes* out);
+/// Maps the whole regular file open at `fd` read-only, its size taken
+/// from fstat(2), with every page faulted in up front. False (errno set,
+/// `out` untouched) when fstat or mmap fails or `fd` is not a regular
+/// file. The file must not be truncated while `out` maps it.
+[[nodiscard]] bool MapWholeFile(int fd, FileBytes* out);
 
 /// Appends [len][payload][crc] to `out`.
 void AppendFrame(std::vector<char>& out, std::string_view payload);

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,23 +50,38 @@ struct SnapItem {
   std::uint64_t order = 0;
 };
 
-/// One file's bytes, read whole by ReadWholeFile. The buffer is allocated
-/// once and never moves: moving a FileBytes keeps every view into it valid.
+/// One file's bytes, mapped read-only by MapWholeFile. The mapping never
+/// moves: moving a FileBytes keeps every view into it valid, and it is
+/// unmapped when the FileBytes that owns it is destroyed. A zero-length
+/// file maps nothing.
 class FileBytes {
  public:
   FileBytes() = default;
-  /// `size` uninitialized bytes, for the read to fill.
-  explicit FileBytes(std::size_t size)
-      : data_(std::make_unique_for_overwrite<char[]>(size)), size_(size) {}
+  FileBytes(FileBytes&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  FileBytes& operator=(FileBytes&& other) noexcept {
+    if (this != &other) {
+      Unmap();
+      data_ = std::exchange(other.data_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+  FileBytes(const FileBytes&) = delete;
+  FileBytes& operator=(const FileBytes&) = delete;
+  ~FileBytes() { Unmap(); }
 
-  [[nodiscard]] char* data() noexcept { return data_.get(); }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::string_view view() const noexcept {
-    return {data_.get(), size_};
+    return {data_, size_};
   }
 
  private:
-  std::unique_ptr<char[]> data_;
+  friend bool MapWholeFile(int fd, FileBytes* out);
+  void Unmap() noexcept;
+
+  const char* data_ = nullptr;
   std::size_t size_ = 0;
 };
 
@@ -120,7 +134,7 @@ struct ShardRestoreState {
   std::uint32_t num_bands = 0;
   std::vector<std::uint64_t> slab_counts;
   std::vector<std::vector<GhostEntry>> ghosts;
-  /// The shard's snapshot and log files, each read once. `items` view
+  /// The shard's snapshot and log files, each mapped once. `items` view
   /// into them, so the state must outlive its RestoreShard call.
   std::vector<FileBytes> files;
   /// Sorted by order ascending (coldest first).

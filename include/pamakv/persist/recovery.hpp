@@ -50,7 +50,7 @@ struct RecoveryReport {
 /// whose TTL or flush epoch passed during downtime; `shard_count` is
 /// validated against snapshot headers (key->shard routing depends on
 /// it, so a changed topology is a clean refusal, not silent misrouting).
-/// Each file is read once; the returned state owns those bytes and its
+/// Each file is mapped once; the returned state owns those bytes and its
 /// items view into them. Throws CorruptionError per the contract above
 /// and std::runtime_error for plain I/O failures reading the directory.
 [[nodiscard]] ShardRestoreState RecoverShardState(const std::string& dir,

@@ -617,9 +617,9 @@ void FlashTier::Recover(const AdmitFn& admit) {
           config_.dir + "/" + SegmentFileName(shard, seg_id);
       const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
       if (fd < 0) continue;
-      // Read once, then scanned and decoded in place.
+      // Mapped once, then scanned and decoded in place.
       persist::FileBytes data;
-      const bool readable = persist::ReadWholeFile(fd, &data);
+      const bool readable = persist::MapWholeFile(fd, &data);
       // First pass: the whole file must scan clean. One bad frame —
       // torn tail from a crash (segments are never fsynced) or rot —
       // drops the segment wholesale: corrupt segments are never served.

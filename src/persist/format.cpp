@@ -1,5 +1,6 @@
 #include "pamakv/persist/format.hpp"
 
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -58,24 +59,29 @@ bool IsKnownRecordType(std::uint8_t tag) noexcept {
   return false;
 }
 
-bool ReadWholeFile(int fd, FileBytes* out) {
+void FileBytes::Unmap() noexcept {
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
+  data_ = nullptr;
+  size_ = 0;
+}
+
+bool MapWholeFile(int fd, FileBytes* out) {
   struct stat sb;
   if (::fstat(fd, &sb) != 0) return false;
-  if (sb.st_size < 0) {
-    errno = EINVAL;
+  if (!S_ISREG(sb.st_mode)) {
+    errno = S_ISDIR(sb.st_mode) ? EISDIR : EINVAL;
     return false;
   }
-  FileBytes bytes(static_cast<std::size_t>(sb.st_size));
-  std::size_t got = 0;
-  while (got < bytes.size()) {
-    const ssize_t n = ::pread(fd, bytes.data() + got, bytes.size() - got,
-                              static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      if (n == 0) errno = EIO;  // shorter than fstat said
-      return false;
-    }
-    got += static_cast<std::size_t>(n);
+  FileBytes bytes;
+  if (sb.st_size > 0) {
+    const auto size = static_cast<std::size_t>(sb.st_size);
+    // Recovery reads every byte, so fault the pages in now, in one call,
+    // rather than one fault at a time during the scan.
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                       fd, 0);
+    if (map == MAP_FAILED) return false;
+    bytes.data_ = static_cast<const char*>(map);
+    bytes.size_ = size;
   }
   *out = std::move(bytes);
   return true;

@@ -29,12 +29,12 @@ constexpr std::uint64_t kReplayOrderBase = 1ULL << 62;
   throw CorruptionError(buf);
 }
 
-/// The whole file, read once. Replay checks and parses it in place.
+/// The whole file, mapped once. Replay checks and parses it in place.
 FileBytes LoadFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw std::runtime_error(path + ": cannot open for recovery");
   FileBytes bytes;
-  const bool ok = ReadWholeFile(fd, &bytes);
+  const bool ok = MapWholeFile(fd, &bytes);
   ::close(fd);
   if (!ok) throw std::runtime_error(path + ": read error during recovery");
   return bytes;
