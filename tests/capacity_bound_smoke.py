@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Capacity-bound smoke on the real server binary.
 
-Starts pamakv-server with a 16 MiB cache over 4 shards, records its idle
-VmRSS, pushes 1M distinct 200 B keys as `set ... noreply` over one
-connection, and checks the server's peak memory against its capacity:
+Starts pamakv-server with a 16 MiB cache over 4 shards and records its
+idle VmRSS, after the first `stats` and before any load: an idle server
+holds only structure, which must cost less than the capacity it caches.
+Then it pushes 1M distinct 200 B keys as `set ... noreply` over one
+connection and checks the server's peak memory against its capacity:
 
+    idle < capacity
     VmHWM - idle <= capacity + 384 B x curr_items [+ 160 B x flash_items]
 
 (the flash term only with --flash-dir). An evicted key may keep only its
-ghost, which the engine allocates up front, so the peak must follow the
-capacity and not the number of keys ever stored.
+ghost, so the peak must follow the capacity and not the number of keys
+ever stored.
 
 Usage:
     python3 tests/capacity_bound_smoke.py --server build/server/pamakv-server
@@ -97,6 +100,9 @@ def main():
           f"(curr_items {items}, flash_items {flash_items})")
     if items == 0:
         print("FAIL: nothing is cached")
+        return 1
+    if idle_kib * 1024 >= CAPACITY_MB * 2**20:
+        print("FAIL: the idle server holds more than its capacity")
         return 1
     if growth > bound:
         print("FAIL: peak memory grew past the capacity bound")
