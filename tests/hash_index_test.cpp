@@ -34,6 +34,23 @@ TEST(HashIndexTest, UpsertOverwrites) {
   EXPECT_EQ(idx.size(), 1u);
 }
 
+TEST(HashIndexTest, OnlyAnInsertGrowsTheTable) {
+  HashIndex idx(16);
+  // 11 of 16 slots is the load ceiling: the twelfth key would rehash.
+  for (KeyId k = 0; k < 11; ++k) EXPECT_EQ(idx.Upsert(k, 100 + k), kInvalidHandle);
+  ASSERT_EQ(idx.capacity(), 16u);
+  // Re-pointing a present key returns what it replaced, in place.
+  for (KeyId k = 0; k < 11; ++k) EXPECT_EQ(idx.Upsert(k, 200 + k), 100 + k);
+  EXPECT_EQ(idx.capacity(), 16u);
+  idx.Reserve(idx.size());  // already fits
+  EXPECT_EQ(idx.capacity(), 16u);
+  idx.Reserve(idx.size() + 1);  // room for one more insert
+  EXPECT_EQ(idx.capacity(), 32u);
+  EXPECT_EQ(idx.Upsert(11, 211), kInvalidHandle);
+  EXPECT_EQ(idx.capacity(), 32u);
+  for (KeyId k = 0; k < 12; ++k) EXPECT_EQ(idx.Find(k), 200 + k);
+}
+
 TEST(HashIndexTest, EraseRemoves) {
   HashIndex idx;
   idx.Upsert(1, 100);
