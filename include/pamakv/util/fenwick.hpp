@@ -1,7 +1,8 @@
 // Fenwick (binary indexed) tree over a fixed-size array of signed counts.
-// Used by GhostList to answer "how many live entries sit between two ring
-// positions" in O(log n), which turns eviction-order sequence numbers into
-// exact ghost-stack ranks, and by LruStack the same way over access stamps.
+// RankBitmap keeps one over the set-bit count of each 64-bit word, which
+// answers "how many members lie between two positions" in O(log n): exact
+// ghost ranks over GhostLists' ring positions, and LruStack ranks over
+// access stamps.
 #pragma once
 
 #include <cassert>
