@@ -233,16 +233,23 @@ class FlashTier {
   void StartIo();
   void StopIo();
 
-  // ---- recovery (before StartIo, caller single-threaded) ----
+  // ---- recovery (before StartIo, caller holds the shard lock) ----
 
-  /// Replays every segment file in log order. For each surviving item
-  /// record, `admit` fills the slot's monotonic fields and returns
-  /// whether to keep it (false: expired / flush-covered / DRAM newer —
-  /// the record stays on disk as a dead frame). Corrupt segments are
-  /// unlinked wholesale.
-  using AdmitFn = std::function<bool(std::size_t shard, KeyId id,
-                                     const Record& rec, Slot* slot)>;
-  void Recover(const AdmitFn& admit);
+  /// Replays shard `shard`'s segment files in log order. Call it once per
+  /// shard, before anything appends to the shard: until then the shard's
+  /// first append opens segment 0 with O_TRUNC, over the one on disk. For
+  /// each surviving item record, `admit` fills the slot's monotonic fields
+  /// and returns whether to keep it (false: expired / flush-covered / a
+  /// newer copy exists — the record stays on disk as a dead frame).
+  /// Corrupt segments, and the files of shards this tier does not have,
+  /// are unlinked wholesale.
+  using AdmitFn =
+      std::function<bool(KeyId id, const Record& rec, Slot* slot)>;
+  void Recover(std::size_t shard, const AdmitFn& admit);
+  /// Whether Recover has run for `shard`.
+  [[nodiscard]] bool recovered(std::size_t shard) const {
+    return shards_[shard].recovered;
+  }
 
   // ---- introspection (caller holds the shard lock) ----
 
@@ -314,6 +321,7 @@ class FlashTier {
     std::uint64_t next_seg = 0;
     std::uint64_t total_bytes = 0;
     bool in_gc = false;
+    bool recovered = false;
     std::vector<char> read_buf;  ///< ReadCached's frame (capacity reused)
   };
 

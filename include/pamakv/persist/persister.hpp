@@ -68,12 +68,14 @@ class Persister : public MutationSink {
   Persister& operator=(const Persister&) = delete;
 
   /// Validates the data directory (must exist, be a directory, and be
-  /// writable), recovers every shard into the service, and opens each
-  /// shard's next WAL generation. Throws CorruptionError for damaged
-  /// files (clean refusal) and std::runtime_error for a bad directory —
-  /// both carry a one-line message the server prints before exiting
-  /// nonzero. On success persistence is enabled; call Start() to run
-  /// the background committer.
+  /// writable), then, one shard after another, opens the shard's next WAL
+  /// generation and restores it into the service (RestoreShard, which
+  /// also replays the shard's flash segments when a tier is attached).
+  /// Throws CorruptionError for damaged files (clean refusal) and
+  /// std::runtime_error for a bad directory — both carry a one-line
+  /// message the server prints before exiting nonzero. On success
+  /// persistence is enabled; call Start() to run the background
+  /// committer.
   RecoveryReport Recover();
 
   /// Starts the background thread (interval group-commit + async

@@ -122,11 +122,6 @@ struct ShardCaptureMeta {
   std::vector<KeyId> keys;
 };
 
-/// Keys whose newest recovered state DRAM did not keep — dead on boot,
-/// deleted, or not seated by the restore — each with that state's cas (the
-/// maximum for a delete). No older flash copy of them may come back.
-using Superseded = std::vector<std::pair<KeyId, std::uint64_t>>;
-
 /// The reconciled per-shard state recovery hands back to the service.
 struct ShardRestoreState {
   bool have_snapshot = false;
@@ -135,12 +130,13 @@ struct ShardRestoreState {
   std::vector<std::uint64_t> slab_counts;
   std::vector<std::vector<GhostEntry>> ghosts;
   /// The shard's snapshot and log files, each mapped once. `items` view
-  /// into them, so the state must outlive its RestoreShard call.
+  /// into them; RestoreShard releases both once it has seated the items.
   std::vector<FileBytes> files;
   /// Sorted by order ascending (coldest first).
   std::vector<RestoredItem> items;
-  /// Keys replay found deleted or dead on boot.
-  Superseded dropped;
+  /// Keys replay found deleted or dead on boot, each with its last cas
+  /// (the maximum for a delete): no older flash copy of them may come back.
+  std::vector<std::pair<KeyId, std::uint64_t>> dropped;
   std::uint64_t cas_counter = 0;
   std::int64_t flush_at_unix_ns = 0;
   std::uint64_t flush_seq = 0;

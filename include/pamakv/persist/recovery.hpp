@@ -31,9 +31,6 @@ struct RecoveryReport {
   std::uint64_t wal_tails_truncated = 0;
   std::uint64_t items_recovered = 0;        ///< into restore states
   std::uint64_t items_expired_on_boot = 0;  ///< TTL/flush passed downtime
-  /// What the restore superseded, for CacheService::RecoverFlash. Only the
-  /// report Persister::Recover returns holds it.
-  Superseded superseded;
 
   RecoveryReport& operator+=(const RecoveryReport& o) noexcept {
     snapshots_loaded += o.snapshots_loaded;

@@ -168,13 +168,34 @@ int Main(int argc, char** argv) {
     return MakeEngine(scheme, bytes, SizeClassConfig{});
   });
 
+  // Flash victim tier (off unless --flash-dir is given), attached before
+  // persistence recovery: restoring a shard replays that shard's segments
+  // right after its snapshot and log, so one pass per shard decides which
+  // copy of a key survives, and the shard demotes only once its segments
+  // are replayed. The tier is declared before the server so read
+  // completions can never outlive it; Server::Teardown joins its IO
+  // thread before destroying loops.
+  std::unique_ptr<flash::FlashTier> flash_tier;
+  flash::FlashConfig flash_cfg;
+  if (args.Has("flash-dir")) {
+    flash_cfg.dir = args.GetString("flash-dir", "");
+    flash_cfg.shards = cache_cfg.shards;
+    flash_cfg.segment_bytes =
+        static_cast<std::size_t>(args.GetInt("flash-segment-mb", 4)) * 1024 *
+        1024;
+    flash_cfg.cap_bytes =
+        static_cast<std::size_t>(args.GetInt("flash-cap-mb", 1'024)) * 1024 *
+        1024;
+    flash_cfg.admit_min_value = args.GetDouble("flash-admit-min-value", 0.0);
+    flash_tier = std::make_unique<flash::FlashTier>(flash_cfg);
+    service.AttachFlash(flash_tier.get());
+  }
+
   // Persistence (off unless --data-dir is given): recover yesterday's
   // snapshot + log tail into the shards, then log every acknowledged
   // mutation from here on. Recovery failures — bad directory, mid-file
   // corruption — are clean one-line exits before we ever listen.
   std::unique_ptr<persist::Persister> persister;
-  // Replayed states DRAM did not keep, held for the flash tier's recovery.
-  persist::Superseded superseded;
   if (args.Has("data-dir")) {
     persist::PersistConfig persist_cfg;
     persist_cfg.data_dir = args.GetString("data-dir", "");
@@ -184,8 +205,7 @@ int Main(int argc, char** argv) {
     persist_cfg.snapshot_batch =
         static_cast<std::size_t>(args.GetInt("snapshot-batch", 512));
     persister = std::make_unique<persist::Persister>(service, persist_cfg);
-    persist::RecoveryReport report = persister->Recover();
-    if (args.Has("flash-dir")) superseded = std::move(report.superseded);
+    const persist::RecoveryReport report = persister->Recover();
     // Recovery can take long enough for the startup wall/mono anchor to
     // drift; re-capture it so absolute exptimes land on fresh bases.
     service.ReanchorNow();
@@ -203,27 +223,10 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(report.wal_tails_truncated));
   }
 
-  // Flash victim tier (off unless --flash-dir is given): wired after
-  // persistence recovery so recovered DRAM contents take precedence over
-  // stale flash records (the recovery admit callback cas-compares), then
-  // the tier's own segment recovery refills the in-memory index. The tier
-  // is declared before the server so read completions can never outlive
-  // it; Server::Teardown joins its IO thread before destroying loops.
-  std::unique_ptr<flash::FlashTier> flash_tier;
-  if (args.Has("flash-dir")) {
-    flash::FlashConfig flash_cfg;
-    flash_cfg.dir = args.GetString("flash-dir", "");
-    flash_cfg.shards = cache_cfg.shards;
-    flash_cfg.segment_bytes =
-        static_cast<std::size_t>(args.GetInt("flash-segment-mb", 4)) * 1024 *
-        1024;
-    flash_cfg.cap_bytes =
-        static_cast<std::size_t>(args.GetInt("flash-cap-mb", 1'024)) * 1024 *
-        1024;
-    flash_cfg.admit_min_value = args.GetDouble("flash-admit-min-value", 0.0);
-    flash_tier = std::make_unique<flash::FlashTier>(flash_cfg);
-    service.AttachFlash(flash_tier.get());
-    service.RecoverFlash(std::move(superseded));
+  if (flash_tier != nullptr) {
+    // Without --data-dir no restore replayed the segments: the tier
+    // recovers against DRAM alone.
+    service.RecoverFlash();
     flash_tier->StartIo();
     std::uint64_t recovered = 0;
     std::uint64_t corrupt = 0;

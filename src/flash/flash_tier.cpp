@@ -593,92 +593,90 @@ void FlashTier::IoThreadMain() {
 
 // ---- recovery ----
 
-void FlashTier::Recover(const AdmitFn& admit) {
-  std::map<std::size_t, std::vector<std::uint64_t>> files;
+void FlashTier::Recover(std::size_t shard, const AdmitFn& admit) {
+  ShardState& st = shards_[shard];
+  st.recovered = true;
+  std::vector<std::uint64_t> segs;
   if (DIR* dir = ::opendir(config_.dir.c_str())) {
     while (const dirent* entry = ::readdir(dir)) {
-      std::size_t shard = 0;
+      std::size_t owner = 0;
       std::uint64_t seg = 0;
-      if (!ParseSegmentFileName(entry->d_name, &shard, &seg)) continue;
-      if (shard >= shards_.size()) {
+      if (!ParseSegmentFileName(entry->d_name, &owner, &seg)) continue;
+      if (owner >= shards_.size()) {
         // A previous run with more shards; its keys hash elsewhere now.
         ::unlink((config_.dir + "/" + entry->d_name).c_str());
-        continue;
+      } else if (owner == shard) {
+        segs.push_back(seg);
       }
-      files[shard].push_back(seg);
     }
     ::closedir(dir);
   }
-  for (auto& [shard, segs] : files) {
-    std::sort(segs.begin(), segs.end());
-    ShardState& st = shards_[shard];
-    for (const std::uint64_t seg_id : segs) {
-      const std::string path =
-          config_.dir + "/" + SegmentFileName(shard, seg_id);
-      const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-      if (fd < 0) continue;
-      // Mapped once, then scanned and decoded in place.
-      persist::FileBytes data;
-      const bool readable = persist::MapWholeFile(fd, &data);
-      // First pass: the whole file must scan clean. One bad frame —
-      // torn tail from a crash (segments are never fsynced) or rot —
-      // drops the segment wholesale: corrupt segments are never served.
-      std::vector<std::pair<std::uint64_t, std::string_view>> frames;
-      persist::FrameScanner scanner(data.view());
-      bool clean = readable;
-      for (;;) {
-        const std::uint64_t off = scanner.offset();
-        std::string_view payload;
-        const auto status = scanner.Next(&payload);
-        if (status == persist::FrameScanner::Status::kEnd) break;
-        if (status == persist::FrameScanner::Status::kBad) {
-          clean = false;
-          break;
-        }
-        frames.emplace_back(off, payload);
+  std::sort(segs.begin(), segs.end());
+  for (const std::uint64_t seg_id : segs) {
+    const std::string path = config_.dir + "/" + SegmentFileName(shard, seg_id);
+    const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+    if (fd < 0) continue;
+    // Mapped once, then scanned and decoded in place.
+    persist::FileBytes data;
+    const bool readable = persist::MapWholeFile(fd, &data);
+    // First pass: the whole file must scan clean. One bad frame —
+    // torn tail from a crash (segments are never fsynced) or rot —
+    // drops the segment wholesale: corrupt segments are never served.
+    std::vector<std::pair<std::uint64_t, std::string_view>> frames;
+    persist::FrameScanner scanner(data.view());
+    bool clean = readable;
+    for (;;) {
+      const std::uint64_t off = scanner.offset();
+      std::string_view payload;
+      const auto status = scanner.Next(&payload);
+      if (status == persist::FrameScanner::Status::kEnd) break;
+      if (status == persist::FrameScanner::Status::kBad) {
+        clean = false;
+        break;
       }
-      if (!clean) {
-        ::close(fd);
-        ::unlink(path.c_str());
-        ++st.stats.corrupt_segments_dropped;
+      frames.emplace_back(off, payload);
+    }
+    if (!clean) {
+      ::close(fd);
+      ::unlink(path.c_str());
+      ++st.stats.corrupt_segments_dropped;
+      continue;
+    }
+    Segment seg;
+    seg.id = seg_id;
+    seg.fd = fd;
+    seg.bytes = data.size();
+    seg.sealed = true;
+    for (const auto& [off, payload] : frames) {
+      Record rec;
+      if (!DecodeRecord(payload, &rec)) continue;
+      const KeyId id = HashStringKey(rec.key);
+      if (rec.tombstone) {
+        st.index.erase(id);
+        seg.tombs.push_back(Tomb{id, std::string(rec.key)});
         continue;
       }
-      Segment seg;
-      seg.id = seg_id;
-      seg.fd = fd;
-      seg.bytes = data.size();
-      seg.sealed = true;
-      for (const auto& [off, payload] : frames) {
-        Record rec;
-        if (!DecodeRecord(payload, &rec)) continue;
-        const KeyId id = HashStringKey(rec.key);
-        if (rec.tombstone) {
-          st.index.erase(id);
-          seg.tombs.push_back(Tomb{id, std::string(rec.key)});
-          continue;
-        }
-        Slot slot;
-        slot.seg = seg_id;
-        slot.offset = off;
-        slot.frame_len = static_cast<std::uint32_t>(payload.size() + 8);
-        slot.value_size = static_cast<std::uint32_t>(rec.value.size());
-        slot.flags = rec.flags;
-        slot.cas = rec.cas;
-        slot.penalty = rec.penalty_us;
-        slot.cls = rec.cls;
-        slot.band = rec.band;
-        slot.flush_seq = rec.flush_seq;
-        if (admit && admit(shard, id, rec, &slot)) {
-          st.index[id] = slot;
-          ++st.stats.recovered_items;
-        } else {
-          st.index.erase(id);  // a newer copy lives in DRAM (or lapsed)
-        }
+      Slot slot;
+      slot.seg = seg_id;
+      slot.offset = off;
+      slot.frame_len = static_cast<std::uint32_t>(payload.size() + 8);
+      slot.value_size = static_cast<std::uint32_t>(rec.value.size());
+      slot.flags = rec.flags;
+      slot.cas = rec.cas;
+      slot.penalty = rec.penalty_us;
+      slot.cls = rec.cls;
+      slot.band = rec.band;
+      slot.flush_seq = rec.flush_seq;
+      if (admit && admit(id, rec, &slot)) {
+        st.index[id] = slot;
+        ++st.stats.recovered_items;
+      } else {
+        st.index.erase(id);  // a newer copy lives in DRAM (or lapsed)
       }
-      st.total_bytes += seg.bytes;
-      st.next_seg = std::max(st.next_seg, seg_id + 1);
-      st.segments.push_back(std::move(seg));
     }
+    st.total_bytes += seg.bytes;
+    st.next_seg = std::max(st.next_seg, seg_id + 1);
+    st.segments.push_back(std::move(seg));
   }
 }
 

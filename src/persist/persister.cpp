@@ -72,13 +72,11 @@ RecoveryReport Persister::Recover() {
 
   const std::int64_t now_unix_ns = service_.UnixNsOfTime(service_.NowNs());
   RecoveryReport report;
-  Superseded superseded;
   wals_.clear();
   wals_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    const ShardRestoreState st =
+    ShardRestoreState st =
         RecoverShardState(dir, i, shards, now_unix_ns, &report);
-    service_.RestoreShard(i, st, superseded);
     auto wal = std::make_unique<WalWriter>(dir, i);
     if (!wal->Open(st.next_gen, st.next_seq)) {
       throw std::runtime_error(dir + "/" + WalFileName(i, st.next_gen) +
@@ -86,10 +84,10 @@ RecoveryReport Persister::Recover() {
                                std::strerror(wal->last_errno()));
     }
     wals_.push_back(std::move(wal));
+    service_.RestoreShard(i, std::move(st));
   }
   recovery_ = report;
   enabled_.store(true, std::memory_order_release);
-  report.superseded = std::move(superseded);
   return report;
 }
 

@@ -17,8 +17,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,8 +78,9 @@ struct Node {
   void Advance(std::int64_t ns) { clock.Advance(std::chrono::nanoseconds(ns)); }
 };
 
-/// With a `data_dir` the node starts the way the server does: WAL replay
-/// first, then the flash tier's recovery.
+/// The node starts the way the server does: the tier attached, then, with
+/// a `data_dir`, WAL replay, whose restore replays the tier's segments;
+/// without one, the tier's recovery against DRAM alone.
 std::unique_ptr<Node> MakeNode(const std::string& dir,
                                Bytes capacity = 256 * 1024,
                                double admit_min_value = 0.0,
@@ -92,16 +96,6 @@ std::unique_ptr<Node> MakeNode(const std::string& dir,
   node->service = std::make_unique<CacheService>(cfg, [](Bytes bytes) {
     return MakeEngine("pama", bytes, SizeClassConfig{});
   });
-  persist::Superseded superseded;
-  if (!data_dir.empty()) {
-    persist::PersistConfig pcfg;
-    pcfg.data_dir = data_dir;
-    pcfg.fsync_mode = persist::FsyncMode::kNever;
-    node->persister =
-        std::make_unique<persist::Persister>(*node->service, pcfg);
-    superseded = node->persister->Recover().superseded;
-    node->service->SetPersistence(node->persister.get());
-  }
   flash::FlashConfig fcfg;
   fcfg.dir = dir;
   fcfg.shards = 1;
@@ -111,7 +105,16 @@ std::unique_ptr<Node> MakeNode(const std::string& dir,
   fcfg.io_thread = io_thread;
   node->tier = std::make_unique<flash::FlashTier>(fcfg);
   node->service->AttachFlash(node->tier.get());
-  node->service->RecoverFlash(std::move(superseded));
+  if (!data_dir.empty()) {
+    persist::PersistConfig pcfg;
+    pcfg.data_dir = data_dir;
+    pcfg.fsync_mode = persist::FsyncMode::kNever;
+    node->persister =
+        std::make_unique<persist::Persister>(*node->service, pcfg);
+    (void)node->persister->Recover();
+    node->service->SetPersistence(node->persister.get());
+  }
+  node->service->RecoverFlash();
   return node;
 }
 
@@ -144,6 +147,17 @@ std::string Payload(const std::string& tag) {
 ::testing::AssertionResult EvictToFlash(Node& node, const std::string& key,
                                         std::uint32_t flags) {
   return EvictToFlash(node, key, flags, Payload("filler"));
+}
+
+/// Every file under `dir`, by name, with its bytes.
+std::map<std::string, std::string> FileBytesIn(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
 }
 
 /// The newest segment file under `dir`: the one appends go to.
@@ -615,10 +629,11 @@ TEST_F(FlashServiceTest, RecoveryServesFlashResidentsAndHonorsTombstones) {
 
 // ---- restart with persistence ----
 //
-// The server's start-up order: WAL replay seats what DRAM can hold, then
-// the flash tier's recovery admits every record that no newer state of
-// its key supersedes. A lost flash tombstone (cut off the segment, as a
-// crash before the append landed would) must not resurrect older bytes.
+// The server's start-up order: the tier is attached, then WAL replay seats
+// what DRAM can hold and replays the segments, admitting every record that
+// no newer state of its key supersedes. A lost flash tombstone (cut off
+// the segment, as a crash before the append landed would) must not
+// resurrect older bytes.
 
 TEST_F(FlashServiceTest, RestartServesFromFlashWhatReplayCouldNotSeat) {
   TempDir flash_dir;
@@ -635,8 +650,13 @@ TEST_F(FlashServiceTest, RestartServesFromFlashWhatReplayCouldNotSeat) {
     }
     ASSERT_GT(node->tier->ItemCount(0), 0u);
   }
+  // The replay's fallback stores evict, with the tier already attached:
+  // recovery must read the segments, neither truncate nor append to them.
+  const auto segments = FileBytesIn(flash_dir.path());
   auto warm =
       MakeNode(flash_dir.path(), 256 * 1024, 0.0, false, data_dir.path());
+  EXPECT_TRUE(FileBytesIn(flash_dir.path()) == segments);
+  EXPECT_EQ(warm->tier->shard_stats(0).demotes, 0u);
   EXPECT_EQ(warm->persister->recovery_report().items_recovered,
             static_cast<std::uint64_t>(kKeys));
   std::vector<int> unseated;

@@ -101,7 +101,7 @@ bool ReadBack(FlashTier& tier, KeyId id, Record* rec, std::string* payload) {
   return FlashTier::DecodeRecord(*payload, rec);
 }
 
-bool AdmitAll(std::size_t, KeyId, const Record&, Slot*) { return true; }
+bool AdmitAll(KeyId, const Record&, Slot*) { return true; }
 
 // ---- record codec ----
 
@@ -256,7 +256,7 @@ TEST(FlashTierTest, RecoverReplaysLogOrderNewestWins) {
     ASSERT_TRUE(tier.AppendItem(0, HashStringKey(Key(1)), meta));
   }
   FlashTier tier(SyncConfig(dir.path()));
-  tier.Recover(AdmitAll);
+  tier.Recover(0, AdmitAll);
   EXPECT_EQ(tier.shard_stats(0).recovered_items, 3u);
   EXPECT_EQ(tier.ItemCount(0), 2u);
   const Slot* slot = tier.Find(0, HashStringKey(Key(1)));
@@ -282,7 +282,7 @@ TEST(FlashTierTest, TombstoneBlocksResurrectionPlainEraseDoesNot) {
     EXPECT_EQ(tier.ItemCount(0), 0u);
   }
   FlashTier tier(SyncConfig(dir.path()));
-  tier.Recover(AdmitAll);
+  tier.Recover(0, AdmitAll);
   EXPECT_NE(tier.Find(0, HashStringKey(Key(1))), nullptr);
   EXPECT_EQ(tier.Find(0, HashStringKey(Key(2))), nullptr);
 }
@@ -295,7 +295,7 @@ TEST(FlashTierTest, RecoverAdmitCallbackFilters) {
   }
   FlashTier tier(SyncConfig(dir.path()));
   const KeyId reject = HashStringKey(Key(3));
-  tier.Recover([reject](std::size_t, KeyId id, const Record&, Slot* slot) {
+  tier.Recover(0, [reject](KeyId id, const Record&, Slot* slot) {
     slot->stored_at_ns = 42;  // admit fills monotonic fields
     return id != reject;
   });
@@ -415,7 +415,7 @@ TEST(FlashTierTest, GcTombstonesDropsAgainstReplay) {
   EXPECT_EQ(tier.Find(0, id), nullptr);
 
   FlashTier fresh(SyncConfig(dir.path()));
-  fresh.Recover(AdmitAll);
+  fresh.Recover(0, AdmitAll);
   EXPECT_EQ(fresh.Find(0, id), nullptr);
 }
 
@@ -525,7 +525,7 @@ TEST(FlashTierTest, CorruptSegmentDroppedWholesaleOthersServed) {
     f.write(&byte, 1);
   }
   FlashTier tier(cfg);
-  tier.Recover(AdmitAll);
+  tier.Recover(0, AdmitAll);
   EXPECT_EQ(tier.shard_stats(0).corrupt_segments_dropped, 1u);
   EXPECT_EQ(tier.SegmentCount(0), n_segments - 1);
   EXPECT_FALSE(fs::exists(victim));  // never served, unlinked on sight
@@ -606,7 +606,7 @@ TEST(FlashTierTest, SeededCorruptionCorpus) {
     }
 
     FlashTier tier(cfg);
-    tier.Recover(AdmitAll);
+    tier.Recover(0, AdmitAll);
     dropped_segments +=
         static_cast<int>(tier.shard_stats(0).corrupt_segments_dropped);
     for (int i = 0; i < kKeys; ++i) {

@@ -1,11 +1,11 @@
 // Recovered-state pin: three crash directories, written by a seeded
 // workload under a FakeClock, recovered into a fresh service the way the
-// server starts (Persister::Recover, then RecoverFlash with the pairs the
-// replay superseded), rendered as text and checked in as
-// tests/golden/recovery_state.golden. Any change to what recovery keeps —
-// an item's bytes, flags, CAS or times, LRU order within a (class, band),
-// the slab layout, a ghost list, the flash index, the superseded pairs or
-// a RecoveryReport counter — moves some line of it.
+// server starts (the flash tier attached, then Persister::Recover, whose
+// restore of each shard replays that shard's segments), rendered as text
+// and checked in as tests/golden/recovery_state.golden. Any change to what
+// recovery keeps — an item's bytes, flags, CAS or times, LRU order within
+// a (class, band), the slab layout, a ghost list, the flash index or a
+// RecoveryReport counter — moves some line of it.
 //
 // Parts:
 //   wal-flash      WAL only (no snapshot), more data than DRAM, with a
@@ -20,12 +20,11 @@
 //                  during the downtime.
 //   torn-tail      every shard's newest WAL ends in half a frame.
 //
-// Each part renders, in order: the RecoveryReport counters; the sorted
-// superseded pairs; per shard the EngineSnapshot, each (class, band)
-// stack's key ids bottom to top and its ghost list oldest first, and the
-// flash tier's counters; then per written key its flash slot and what
-// `gets` returns (value as length + FNV-1a). The engine is dumped before
-// any GET, because a GET reorders the LRU.
+// Each part renders, in order: the RecoveryReport counters; per shard the
+// EngineSnapshot, each (class, band) stack's key ids bottom to top and its
+// ghost list oldest first, and the flash tier's counters; then per written
+// key its flash slot and what `gets` returns (value as length + FNV-1a).
+// The engine is dumped before any GET, because a GET reorders the LRU.
 #pragma once
 
 #include <unistd.h>
@@ -85,17 +84,16 @@ class RecoveryDir {
 };
 
 /// One server process's worth of state over `data` (and `flash` when not
-/// empty), started the way server/main.cpp starts: persistence recovery,
-/// then the flash tier's recovery with the superseded pairs. Members are
-/// declared tier -> service -> persister, so each is destroyed before
-/// what it references; destroying a node without SnapshotNow is a crash
-/// that lost nothing acknowledged (the persister's destructor commits).
+/// empty), started the way server/main.cpp starts: the flash tier
+/// attached, then persistence recovery. Members are declared tier ->
+/// service -> persister, so each is destroyed before what it references;
+/// destroying a node without SnapshotNow is a crash that lost nothing
+/// acknowledged (the persister's destructor commits).
 struct RecoveryNode {
   std::unique_ptr<flash::FlashTier> tier;
   std::unique_ptr<net::CacheService> service;
   std::unique_ptr<persist::Persister> persister;
   persist::RecoveryReport report;
-  persist::Superseded superseded;  ///< sorted copy of report.superseded
 
   RecoveryNode(util::FakeClock& clock, const std::string& data,
                const std::string& flash_dir, std::size_t shards,
@@ -108,14 +106,6 @@ struct RecoveryNode {
     service = std::make_unique<net::CacheService>(cfg, [](Bytes bytes) {
       return MakeEngine("pama", bytes, SizeClassConfig{});
     });
-    persist::PersistConfig pcfg;
-    pcfg.data_dir = data;
-    pcfg.fsync_mode = persist::FsyncMode::kNever;
-    persister = std::make_unique<persist::Persister>(*service, pcfg);
-    report = persister->Recover();
-    superseded = report.superseded;
-    std::sort(superseded.begin(), superseded.end());
-    service->SetPersistence(persister.get());
     if (!flash_dir.empty()) {
       flash::FlashConfig fcfg;
       fcfg.dir = flash_dir;
@@ -126,7 +116,13 @@ struct RecoveryNode {
       tier = std::make_unique<flash::FlashTier>(fcfg);
       service->AttachFlash(tier.get());
     }
-    service->RecoverFlash(std::move(report.superseded));
+    persist::PersistConfig pcfg;
+    pcfg.data_dir = data;
+    pcfg.fsync_mode = persist::FsyncMode::kNever;
+    persister = std::make_unique<persist::Persister>(*service, pcfg);
+    report = persister->Recover();
+    service->SetPersistence(persister.get());
+    service->RecoverFlash();
   }
 };
 
@@ -187,12 +183,6 @@ inline std::string RenderRecovered(const RecoveryNode& node) {
           " items_recovered=%" PRIu64 " items_expired_on_boot=%" PRIu64 "\n",
           r.snapshots_loaded, r.snapshots_skipped, r.wal_records_replayed,
           r.wal_tails_truncated, r.items_recovered, r.items_expired_on_boot);
-  AppendF(out, "superseded %zu\n", node.superseded.size());
-  for (std::size_t i = 0; i < node.superseded.size(); ++i) {
-    AppendF(out, "%016" PRIx64 ":%" PRIu64 "%c", node.superseded[i].first,
-            node.superseded[i].second,
-            i % 6 == 5 || i + 1 == node.superseded.size() ? '\n' : ' ');
-  }
   const net::CacheService& service = *node.service;
   for (std::size_t s = 0; s < service.shard_count(); ++s) {
     const CacheEngine& engine = service.shard_engine(s);

@@ -1,7 +1,7 @@
 // Recovered-state pin: each crash directory of recovery_state.hpp recovers
 // into exactly the state recorded in tests/golden/recovery_state.golden —
-// items, LRU order, slab layout, ghosts, flash index, superseded pairs and
-// report counters. Runs under the `persist` ctest label.
+// items, LRU order, slab layout, ghosts, flash index and report counters.
+// Runs under the `persist` ctest label.
 #include <gtest/gtest.h>
 
 #include "golden.hpp"
