@@ -92,8 +92,13 @@ class CacheEngine {
   /// service time the user experiences; it is charged to the stats. `size`
   /// is the size of the value being requested — the trace knows it, and the
   /// engine needs it to route the miss to the ghost list of the class/
-  /// subclass the item would occupy.
-  GetResult Get(KeyId key, Bytes size, MicroSecs miss_penalty);
+  /// subclass the item would occupy. With `by_ghost`, a miss on an evicted
+  /// key is routed by the key's own ghost instead — to the (class, band)
+  /// it left, charged the penalty it left with — so `size` and
+  /// `miss_penalty` price only a key without one (the server, which knows
+  /// neither for a key it does not hold).
+  GetResult Get(KeyId key, Bytes size, MicroSecs miss_penalty,
+                bool by_ghost = false);
 
   /// SET of an item with the given size and per-key miss penalty. The
   /// engine keeps no deadline: the service layer owns the clock and calls
@@ -140,14 +145,6 @@ class CacheEngine {
   [[nodiscard]] std::size_t handle_limit() const noexcept {
     return items_.size();
   }
-
-  /// Where an evicted key's ghost lives, and the penalty it left with.
-  struct Ghost {
-    ClassId cls = 0;
-    SubclassId band = 0;
-    MicroSecs penalty = 0;
-  };
-  [[nodiscard]] std::optional<Ghost> FindGhost(KeyId key) const;
 
   /// The key's ghost in list `list` (SubclassIndex order), with its rank
   /// there.

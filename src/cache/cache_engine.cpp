@@ -86,7 +86,8 @@ void CacheEngine::ReserveItemCapacity() {
 
 void CacheEngine::ReleaseItem(ItemHandle h) noexcept { free_items_.push_back(h); }
 
-GetResult CacheEngine::Get(KeyId key, Bytes size, MicroSecs miss_penalty) {
+GetResult CacheEngine::Get(KeyId key, Bytes size, MicroSecs miss_penalty,
+                           bool by_ghost) {
   policy_->OnTick(clock_);
   ++clock_;
   ++stats_.gets;
@@ -107,18 +108,25 @@ GetResult CacheEngine::Get(KeyId key, Bytes size, MicroSecs miss_penalty) {
   }
 
   ++stats_.get_misses;
-  stats_.miss_penalty_total_us += static_cast<std::uint64_t>(miss_penalty);
   // Route the miss to the class/subclass the item would occupy so the
   // policy can consult the right ghost list.
-  const auto cls_opt = classes_.ClassForSize(size);
-  if (cls_opt) {
-    const SubclassId sub = bands_.BandFor(miss_penalty);
-    const std::size_t list = SubclassIndex(*cls_opt, sub);
+  std::optional<ClassId> cls = classes_.ClassForSize(size);
+  SubclassId sub = bands_.BandFor(miss_penalty);
+  if (by_ghost && IsGhost(ref)) {
+    const std::size_t list = ghosts_.ListOf(GhostPos(ref));
+    cls = static_cast<ClassId>(list / bands_.num_bands());
+    sub = static_cast<SubclassId>(list % bands_.num_bands());
+    size = classes_.SlotBytes(*cls);
+    miss_penalty = ghosts_.At(GhostPos(ref)).penalty;
+  }
+  stats_.miss_penalty_total_us += static_cast<std::uint64_t>(miss_penalty);
+  if (cls) {
+    const std::size_t list = SubclassIndex(*cls, sub);
     if (IsGhost(ref) && ghosts_.InList(list, GhostPos(ref))) {
       ++stats_.ghost_hits;
       ++ghost_hits_by_stack_[list];
     }
-    policy_->OnMiss(key, size, miss_penalty, *cls_opt, sub);
+    policy_->OnMiss(key, size, miss_penalty, *cls, sub);
   }
   return GetResult{false, miss_penalty};
 }
@@ -206,16 +214,6 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty) {
   stats_.bytes_stored += size;
   policy_->OnInsert(item);
   return SetResult{true, IsItem(existing), h};
-}
-
-std::optional<CacheEngine::Ghost> CacheEngine::FindGhost(KeyId key) const {
-  const ItemHandle ref = index_.Find(key);
-  if (!IsGhost(ref)) return std::nullopt;
-  const std::size_t list = ghosts_.ListOf(GhostPos(ref));
-  const std::uint32_t bands = bands_.num_bands();
-  return Ghost{static_cast<ClassId>(list / bands),
-               static_cast<SubclassId>(list % bands),
-               ghosts_.At(GhostPos(ref)).penalty};
 }
 
 std::optional<GhostLists::Hit> CacheEngine::LookupGhost(std::size_t list,
