@@ -2,7 +2,7 @@
 //
 // Topology (see DESIGN.md, "Threading model"): the calling thread acts as
 // the producer — it reads the trace in order, routes every request to its
-// owning shard with the same salted hash ShardedCache uses, and hands the
+// owning shard with ShardIndexFor, the server's routing, and hands the
 // requests over in fixed-size batches through one bounded SPSC ring per
 // worker. Each worker owns a private CacheEngine (capacity/N, its own
 // policy instance) and replays its sub-stream through the ordinary serial
@@ -50,8 +50,7 @@ struct ParallelSimResult {
 
 class ParallelSimulator {
  public:
-  /// Same shape as ShardedCache::EngineFactory: builds one engine of the
-  /// given capacity with its policy attached.
+  /// Builds one engine of the given capacity with its policy attached.
   using EngineFactory = std::function<std::unique_ptr<CacheEngine>(Bytes)>;
 
   explicit ParallelSimulator(const ParallelSimConfig& config);
@@ -62,9 +61,6 @@ class ParallelSimulator {
   ParallelSimResult Run(const EngineFactory& factory,
                         Bytes total_capacity_bytes, TraceSource& trace,
                         const std::string& workload = "");
-
-  /// The shard a key routes to; identical to ShardedCache's routing.
-  [[nodiscard]] std::size_t ShardIndexFor(KeyId key) const noexcept;
 
   [[nodiscard]] const ParallelSimConfig& config() const noexcept {
     return config_;

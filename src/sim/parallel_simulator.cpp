@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "pamakv/cache/sharded_cache.hpp"
+#include "pamakv/cache/shard_routing.hpp"
 #include "pamakv/util/spsc_ring.hpp"
 
 namespace pamakv {
@@ -53,10 +53,6 @@ ParallelSimulator::ParallelSimulator(const ParallelSimConfig& config)
   }
   if (config_.batch_requests == 0) config_.batch_requests = 1;
   if (config_.ring_batches == 0) config_.ring_batches = 1;
-}
-
-std::size_t ParallelSimulator::ShardIndexFor(KeyId key) const noexcept {
-  return ShardedCache::ShardIndexFor(key, config_.shards);
 }
 
 ParallelSimResult ParallelSimulator::Run(const EngineFactory& factory,
@@ -113,7 +109,7 @@ ParallelSimResult ParallelSimulator::Run(const EngineFactory& factory,
     for (auto& b : pending) b.reserve(config_.batch_requests);
     Request r;
     while (trace.Next(r)) {
-      const std::size_t s = ShardedCache::ShardIndexFor(r.key, shards);
+      const std::size_t s = ShardIndexFor(r.key, shards);
       Batch& b = pending[s];
       b.push_back(r);
       if (b.size() >= config_.batch_requests) {

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "pamakv/cache/sharded_cache.hpp"
+#include "pamakv/cache/shard_routing.hpp"
 #include "pamakv/policy/policy.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/trace/generators.hpp"
@@ -34,7 +34,7 @@ SimResult SerialShardReplay(const VectorTrace& full, std::size_t shard,
                             std::size_t shards, const SimConfig& sim_config) {
   std::vector<Request> sub;
   for (const Request& r : full.requests()) {
-    if (ShardedCache::ShardIndexFor(r.key, shards) == shard) sub.push_back(r);
+    if (ShardIndexFor(r.key, shards) == shard) sub.push_back(r);
   }
   VectorTrace trace(std::move(sub));
   auto engine = PamaFactory()(kTotalCapacity / shards);
@@ -126,7 +126,7 @@ TEST(ParallelSimulatorTest, AggregateSumsShards) {
 }
 
 TEST(ParallelSimulatorTest, EveryRequestLandsOnItsOwningShard) {
-  // Routing must agree with ShardedCache: each worker only ever sees keys
+  // Routing must agree with ShardIndexFor: each worker only ever sees keys
   // that hash to it, so per-shard GET counts reconstruct the route table.
   const VectorTrace full = MakeEtcTrace(50'000);
   ParallelSimConfig cfg;
@@ -138,7 +138,7 @@ TEST(ParallelSimulatorTest, EveryRequestLandsOnItsOwningShard) {
 
   std::vector<std::uint64_t> expected_requests(cfg.shards, 0);
   for (const Request& r : full.requests()) {
-    ++expected_requests[ShardedCache::ShardIndexFor(r.key, cfg.shards)];
+    ++expected_requests[ShardIndexFor(r.key, cfg.shards)];
   }
   for (std::size_t s = 0; s < cfg.shards; ++s) {
     EXPECT_EQ(result.per_shard[s].requests_replayed, expected_requests[s])
