@@ -80,12 +80,14 @@ struct Node {
 
 /// The node starts the way the server does: the tier attached, then, with
 /// a `data_dir`, WAL replay, whose restore replays the tier's segments;
-/// without one, the tier's recovery against DRAM alone.
+/// without one, the tier's recovery against DRAM alone. `scheme` names
+/// the engines' allocation policy.
 std::unique_ptr<Node> MakeNode(const std::string& dir,
                                Bytes capacity = 256 * 1024,
                                double admit_min_value = 0.0,
                                bool io_thread = false,
-                               const std::string& data_dir = "") {
+                               const std::string& data_dir = "",
+                               const std::string& scheme = "pama") {
   auto node = std::make_unique<Node>();
   node->clock.SetWallBase(kUnixBase * 1'000'000'000);
   CacheServiceConfig cfg;
@@ -93,8 +95,8 @@ std::unique_ptr<Node> MakeNode(const std::string& dir,
   cfg.capacity_bytes = capacity;
   cfg.clock = &node->clock;
   cfg.unix_now_s = kUnixBase;
-  node->service = std::make_unique<CacheService>(cfg, [](Bytes bytes) {
-    return MakeEngine("pama", bytes, SizeClassConfig{});
+  node->service = std::make_unique<CacheService>(cfg, [&scheme](Bytes bytes) {
+    return MakeEngine(scheme, bytes, SizeClassConfig{});
   });
   flash::FlashConfig fcfg;
   fcfg.dir = dir;
@@ -411,6 +413,104 @@ TEST_F(FlashServiceTest, IncrDecrPromotesThenMutates) {
   ASSERT_TRUE(FlashAwareGet(*node, key, &block));
   EXPECT_NE(block.find("\r\n42\r\n"), std::string::npos);
   EXPECT_GE(node->service->Totals().counters.incr_hits, 1u);
+}
+
+// ---- direct serves: a flash hit the engine refuses to seat ----
+
+/// Recovers the tier under `dir` into a `memcached`-policy node, which
+/// never moves a slab, and gives every slab to 4,000-byte values: no store
+/// of a small value gets a seat there, a promote included.
+std::unique_ptr<Node> MakeNodeWithoutSmallSlots(const std::string& dir) {
+  auto node = MakeNode(dir, 256 * 1024, 0.0, false, "", "memcached");
+  const std::string big(4000, 'b');
+  for (int i = 0; i < 1000 && node->service->Totals().free_slabs > 0; ++i) {
+    node->service->Store(StoreVerb::kSet, "big:" + std::to_string(i), 4321, 0,
+                         big);
+  }
+  EXPECT_EQ(node->service->Totals().free_slabs, 0u);
+  return node;
+}
+
+TEST_F(FlashServiceTest, RefusedPromoteServesAndMutatesOnFlash) {
+  TempDir dir;
+  const std::string value = "1000000041";  // numeric, so incr applies
+  const std::vector<std::string> keys = {"direct:get", "direct:gat",
+                                         "direct:incr", "direct:append"};
+  std::uint64_t cas = 0;
+  {
+    auto node = MakeNode(dir.path());
+    for (const std::string& key : keys) {
+      ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 4321, 0, value),
+                StoreStatus::kStored);
+    }
+    cas = ParseCas(GetsBlock(*node->service, "direct:get"));
+    ASSERT_NE(cas, 0u);
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(EvictToFlash(*node, key, 4321, "fillerfill"));
+    }
+  }
+  auto node = MakeNodeWithoutSmallSlots(dir.path());
+  const auto served = [&](const std::string& key, const std::string& bytes) {
+    return "VALUE " + key + " 4321 " + std::to_string(bytes.size()) + "\r\n" +
+           bytes + "\r\nEND\r\n";
+  };
+
+  // get and gets: the flash bytes, flags and cas, with the slot left on
+  // flash and no promote.
+  EXPECT_EQ(Exchange(*node, "get direct:get\r\n"), served("direct:get", value));
+  const std::string gets = Exchange(*node, "gets direct:get\r\n");
+  EXPECT_EQ(gets.rfind("VALUE direct:get 4321 10 ", 0), 0u) << gets;
+  EXPECT_EQ(ParseCas(gets), cas);
+  EXPECT_NE(gets.find("\r\n" + value + "\r\n"), std::string::npos);
+  ServiceCounters counters = node->service->Totals().counters;
+  EXPECT_EQ(counters.flash_direct_serves, 2u);
+  EXPECT_EQ(counters.flash_promotes, 0u);
+  EXPECT_EQ(counters.flash_hits, 2u);
+  EXPECT_NE(node->tier->Find(0, HashStringKey("direct:get")), nullptr);
+
+  // append has no DRAM seat to concatenate in: NOT_STORED, and the flash
+  // copy stands unchanged.
+  EXPECT_EQ(Exchange(*node, "append direct:append 0 0 3\r\nxyz\r\n"),
+            "NOT_STORED\r\n");
+  EXPECT_NE(node->tier->Find(0, HashStringKey("direct:append")), nullptr);
+  EXPECT_EQ(Exchange(*node, "get direct:append\r\n"),
+            served("direct:append", value));
+  EXPECT_EQ(node->service->Totals().counters.flash_direct_serves, 3u);
+
+  // gat moves the slot's deadline: the key lapses at the new time, not
+  // before.
+  EXPECT_EQ(Exchange(*node, "gat 100 direct:gat\r\n"),
+            served("direct:gat", value));
+  const flash::Slot* slot = node->tier->Find(0, HashStringKey("direct:gat"));
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->expire_at_ns, node->service->NowNs() + 100'000'000'000);
+  node->Advance(100'000'000'000 - 1);
+  EXPECT_EQ(Exchange(*node, "get direct:gat\r\n"), served("direct:gat", value));
+  node->Advance(1);
+  EXPECT_EQ(Exchange(*node, "get direct:gat\r\n"), "END\r\n");
+  EXPECT_EQ(node->tier->Find(0, HashStringKey("direct:gat")), nullptr);
+
+  // incr mutates the flash copy: the new value under a fresh cas, newer
+  // than the last store's.
+  ASSERT_EQ(node->service->Store(StoreVerb::kSet, "probe", 4321, 0,
+                                 std::string(4000, 'b')),
+            StoreStatus::kStored);
+  const std::uint64_t probe_cas = ParseCas(GetsBlock(*node->service, "probe"));
+  EXPECT_EQ(Exchange(*node, "incr direct:incr 1\r\n"), "1000000042\r\n");
+  const std::string incremented = Exchange(*node, "gets direct:incr\r\n");
+  const std::uint64_t incr_cas = ParseCas(incremented);
+  EXPECT_GT(incr_cas, probe_cas);
+  EXPECT_NE(incremented.find("\r\n1000000042\r\n"), std::string::npos)
+      << incremented;
+  EXPECT_EQ(node->service->Totals().counters.flash_promotes, 0u);
+
+  // A restart of the tier serves the mutated record.
+  node.reset();
+  auto warm = MakeNode(dir.path());
+  std::string block;
+  ASSERT_TRUE(FlashAwareGet(*warm, "direct:incr", &block));
+  EXPECT_EQ(ParseCas(block), incr_cas);
+  EXPECT_NE(block.find("\r\n1000000042\r\n"), std::string::npos) << block;
 }
 
 // ---- lapses ----
