@@ -34,6 +34,27 @@ using ItemHandle = std::uint32_t;
 inline constexpr ItemHandle kInvalidHandle =
     std::numeric_limits<ItemHandle>::max();
 
+/// The memcached state of one stored value: the header a DRAM record and a
+/// flash slot share, so every item rule (lapse, touch, cas compare) reads
+/// the same fields on either tier. Times are monotonic nanoseconds.
+struct ItemMeta {
+  std::uint32_t flags = 0;
+  std::uint64_t cas = 0;
+  /// Deadline; 0 = never, negative = expired on arrival.
+  std::int64_t expire_at_ns = 0;
+  /// When the value was stored or last touched: the flush-epoch side of
+  /// the lapse rule compares against this.
+  std::int64_t stored_at_ns = 0;
+  /// The shard's flush count at that moment: splits stores landing on the
+  /// same nanosecond as a flush_all (before vs after the command).
+  std::uint64_t flush_seq = 0;
+
+  /// This header alone, to read or assign it through a type that extends
+  /// it.
+  [[nodiscard]] ItemMeta& header() noexcept { return *this; }
+  [[nodiscard]] const ItemMeta& header() const noexcept { return *this; }
+};
+
 /// Request verbs understood by the simulator (the Memcached primitives the
 /// paper's Sec. I lists, with REPLACE folded into SET).
 enum class Op : std::uint8_t {
