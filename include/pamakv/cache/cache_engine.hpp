@@ -287,6 +287,11 @@ class CacheEngine {
                                       MicroSecs penalty) noexcept;
   /// Obtains a free slot in class c, invoking the policy when needed.
   [[nodiscard]] bool ObtainSlot(ClassId c, SubclassId s);
+  /// The insert Set and RestoreItem end in: a new item for `key` in the
+  /// slot the caller obtained in (cls, sub), at the top of its stack and
+  /// in the index (room the caller reserved). Returns its handle.
+  ItemHandle InsertItem(KeyId key, Bytes size, MicroSecs penalty, ClassId cls,
+                        SubclassId sub);
 
   SizeClassTable classes_;
   PenaltyBandTable bands_;

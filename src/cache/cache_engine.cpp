@@ -187,7 +187,12 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty) {
     PushGhost(cls, sub, key, penalty);
     return SetResult{};
   }
+  return SetResult{true, IsItem(existing),
+                   InsertItem(key, size, penalty, cls, sub)};
+}
 
+ItemHandle CacheEngine::InsertItem(KeyId key, Bytes size, MicroSecs penalty,
+                                   ClassId cls, SubclassId sub) {
   const ItemHandle h = AllocateItem();
   Item& item = items_[h];
   item = Item{};
@@ -207,13 +212,13 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty) {
     pool_.ReleaseSlot(cls, sub);
     throw;
   }
-  // Room was reserved above, so this cannot grow the index. The key is
+  // The caller reserved room, so this cannot grow the index. The key is
   // cached again: its ghost (if any) is obsolete.
   const ItemHandle was = index_.Upsert(key, h);
   if (IsGhost(was)) ghosts_.Remove(GhostPos(was));
   stats_.bytes_stored += size;
   policy_->OnInsert(item);
-  return SetResult{true, IsItem(existing), h};
+  return h;
 }
 
 std::optional<GhostLists::Hit> CacheEngine::LookupGhost(std::size_t list,
@@ -298,26 +303,7 @@ bool CacheEngine::RestoreItem(KeyId key, Bytes size, MicroSecs penalty) {
     }
   }
   ++clock_;
-  const ItemHandle h = AllocateItem();
-  Item& item = items_[h];
-  item = Item{};
-  item.key = key;
-  item.size = size;
-  item.penalty = penalty;
-  item.cls = cls;
-  item.sub = sub;
-  item.last_access = clock_;
-  try {
-    item.node = StackOf(cls, sub).PushTop(h);
-  } catch (...) {
-    ReleaseItem(h);
-    pool_.ReleaseSlot(cls, sub);
-    throw;
-  }
-  const ItemHandle was = index_.Upsert(key, h);  // room reserved above
-  if (IsGhost(was)) ghosts_.Remove(GhostPos(was));
-  stats_.bytes_stored += size;
-  policy_->OnInsert(item);
+  InsertItem(key, size, penalty, cls, sub);
   return true;
 }
 
