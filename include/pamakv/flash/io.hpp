@@ -44,9 +44,11 @@ inline ssize_t Pread(int fd, void* buf, std::size_t len, off_t off) {
   return ::pread(fd, buf, len, off);
 }
 
-/// pread that never waits on the device: preadv2(RWF_NOWAIT) fails with
+/// pread that does not wait on the device: preadv2(RWF_NOWAIT) fails with
 /// EAGAIN when any of the bytes are not in the page cache (EOPNOTSUPP or
-/// EINVAL where the filesystem or kernel does not offer it).
+/// EINVAL where the filesystem or kernel does not offer it). It may still
+/// start readahead for a missing page, so FlashTier::ReadCached calls it
+/// only for a frame mincore(2) found resident.
 inline ssize_t PreadCached(int fd, void* buf, std::size_t len, off_t off) {
   PAMAKV_FAILPOINT_IO("flash.read_cached", &len);
   iovec iov{buf, len};

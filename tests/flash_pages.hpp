@@ -7,13 +7,13 @@
 // the flash.read_cached failpoint, other builds flush the segment files
 // and drop their pages, confirming each drop with mincore(2).
 //
-// A confirmed drop is not always enough. The page-cache-only read
-// (preadv2 with RWF_NOWAIT) may start readahead for the missing page
-// itself and return it when that read finishes in time, which a fast disk
-// often does: a few percent of such reads right after a confirmed drop
-// succeed. A test that needs a cold read therefore repeats its scenario
-// up to kColdAttempts times. A filesystem that keeps the pages (tmpfs)
-// fails every drop; tests then skip and name it (FilesystemOf).
+// A confirmed drop holds until something reads the segment again: the
+// inline read checks residency with mincore(2) first and does not read a
+// cold frame at all, so it neither serves it nor starts readahead for it.
+// A test that needs a cold read still repeats its scenario up to
+// kColdAttempts times, in case its own steps bring a page back (an append
+// to the open segment, a GC rewrite). A filesystem that keeps the pages
+// (tmpfs) fails every drop; tests then skip and name it (FilesystemOf).
 #pragma once
 
 #include <fcntl.h>

@@ -20,10 +20,12 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flash_pages.hpp"
 #include "pamakv/cache/string_keys.hpp"
 #include "pamakv/persist/format.hpp"
 
@@ -207,6 +209,53 @@ TEST(FlashTierTest, AppendFindReadBack) {
   EXPECT_EQ(tier.DemotesForBand(0, 2), 1u);
   EXPECT_EQ(tier.DemotesForBand(0, 0), 0u);
   EXPECT_GE(tier.MaxBandSeen(0), 3u);
+}
+
+// ---- inline reads ----
+
+TEST(FlashTierTest, ReadCachedServesResidentFrames) {
+  TempDir dir;
+  KeyId id = 0;
+  {
+    FlashTier tier(SyncConfig(dir.path()));
+    id = Put(tier, Key(1), Value(1), 1);
+    std::string_view payload;
+    ASSERT_TRUE(tier.ReadCached(0, *tier.Find(0, id), &payload));
+    Record rec;
+    ASSERT_TRUE(FlashTier::DecodeRecord(payload, &rec));
+    EXPECT_EQ(rec.value, Value(1));
+    EXPECT_EQ(tier.shard_stats(0).cached_reads, 1u);
+  }
+  // A recovered segment is read inline too: recovery read its pages.
+  FlashTier warm(SyncConfig(dir.path()));
+  warm.Recover(0, AdmitAll);
+  std::string_view payload;
+  ASSERT_TRUE(warm.ReadCached(0, *warm.Find(0, id), &payload));
+  Record rec;
+  ASSERT_TRUE(FlashTier::DecodeRecord(payload, &rec));
+  EXPECT_EQ(rec.value, Value(1));
+}
+
+TEST(FlashTierTest, ReadCachedNeverStartsDeviceIo) {
+  TempDir dir;
+  FlashTier tier(SyncConfig(dir.path()));
+  const KeyId id = Put(tier, Key(1), Value(1), 1);
+  if (!test::DropSegmentPages(dir.path())) {
+    GTEST_SKIP() << "dropped segment pages stayed cached on "
+                 << test::FilesystemOf(dir.path());
+  }
+  std::string_view payload;
+  EXPECT_FALSE(tier.ReadCached(0, *tier.Find(0, id), &payload));
+  EXPECT_EQ(tier.shard_stats(0).reads, 0u);
+  // A read the call had started would have landed in the page cache by
+  // now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::string segment =
+      dir.path() + "/" + FlashTier::SegmentFileName(0, 0);
+  const int fd = ::open(segment.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(test::NoPagesCached(fd));
+  ::close(fd);
 }
 
 TEST(FlashTierTest, SegmentsSealAndRoll) {
