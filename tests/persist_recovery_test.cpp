@@ -201,6 +201,26 @@ TEST_F(PersistRecoveryTest, WalOnlyRoundTripRestoresEveryMutation) {
   EXPECT_EQ(GetsBlock(*warm.service, Key(5)), "");  // deleted stays deleted
 }
 
+TEST_F(PersistRecoveryTest, RefusedOverwriteStaysDroppedAcrossRestart) {
+  TempDir dir;
+  const std::string key = "refused";
+  {
+    Node node = MakeNode(dir.path());
+    ASSERT_EQ(node.service->Store(net::StoreVerb::kSet, key, 1000, 0,
+                                  "old bytes"),
+              net::StoreStatus::kStored);
+    // Larger than every slot: refused, and the cached copy is dropped.
+    ASSERT_EQ(node.service->Store(net::StoreVerb::kSet, key, 1000, 0,
+                                  std::string(128 * 1024, 'n')),
+              net::StoreStatus::kNotStored);
+    EXPECT_EQ(GetsBlock(*node.service, key), "");
+    node.persister->Stop();
+  }
+  // The restart must not replay the store the refused one replaced.
+  Node warm = MakeNode(dir.path());
+  EXPECT_EQ(GetsBlock(*warm.service, key), "");
+}
+
 // ---- snapshot fidelity: layout + ghosts + items ----
 
 TEST_F(PersistRecoveryTest, SnapshotRestoresLayoutGhostsAndItems) {
