@@ -6,8 +6,9 @@
 // detail` reply and RenderPrometheus() must match
 // tests/golden/metrics_surfaces.golden byte for byte: every name, label,
 // order and value on the three surfaces. The flash hit is served inline
-// from the page cache, as on any filesystem whose fresh pages
-// preadv2(RWF_NOWAIT) can read. Runs under the `metrics` ctest label.
+// from the page cache, as on any filesystem whose fresh pages mincore(2)
+// reports resident and preadv2(RWF_NOWAIT) can read. Runs under the
+// `metrics` ctest label.
 
 #include <gtest/gtest.h>
 
