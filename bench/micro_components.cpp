@@ -288,7 +288,7 @@ void ExecuteByShard(net::CacheService& service, net::Batch& batch,
 // stream cycles through kChurnKeys names, ~4x what the cache holds), each
 // making room — MakeRoom, the eviction and its ghost, and the reuse of the
 // victim's item and record. Items are SETs.
-void BM_ServiceSetEvicting(benchmark::State& state) {
+void ServiceSetEvicting(benchmark::State& state, std::int64_t exptime_s) {
   constexpr std::size_t kDepth = 32;
   std::vector<std::string> names;
   auto service = ChurnedCache(names);
@@ -305,6 +305,7 @@ void BM_ServiceSetEvicting(benchmark::State& state) {
       op.key.assign(names[next % kChurnKeys]);
       op.value.assign(value);
       op.flags = ChurnPenalty(next % kChurnKeys);
+      op.exptime = exptime_s;
     }
     ExecuteByShard(*service, batch, groups);
     for (std::uint32_t i = 0; i < kDepth; ++i) {
@@ -315,7 +316,17 @@ void BM_ServiceSetEvicting(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kDepth));
 }
+void BM_ServiceSetEvicting(benchmark::State& state) {
+  ServiceSetEvicting(state, 0);
+}
 BENCHMARK(BM_ServiceSetEvicting);
+
+// The same SETs, each stored with an hour's TTL: every store also files
+// its item's deadline for the background reaper.
+void BM_ServiceSetEvictingTtl(benchmark::State& state) {
+  ServiceSetEvicting(state, 3'600);
+}
+BENCHMARK(BM_ServiceSetEvictingTtl);
 
 // GETs of evicted keys: a round of 32 GET misses over the 2,048 most
 // recently evicted keys of the churned cache, each routed to the ghost
