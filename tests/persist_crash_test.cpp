@@ -54,13 +54,6 @@ namespace {
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
-std::uint64_t CrashSeed() {
-  if (const char* env = std::getenv("PAMAKV_CRASH_SEED")) {
-    return std::strtoull(env, nullptr, 0);
-  }
-  return 1;
-}
-
 class TempDir {
  public:
   TempDir() {
@@ -223,10 +216,6 @@ std::string GetBlock(net::CacheService& service, const std::string& key) {
   return std::string(out.data(), out.size());
 }
 
-bool IsKilledBySigkill(int status) {
-  return WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
-}
-
 TEST(CrashMatrixEnvTest, ServerBinaryIsWired) {
   ASSERT_STRNE(PAMAKV_SERVER_BINARY, "");
   ASSERT_TRUE(fs::exists(PAMAKV_SERVER_BINARY))
@@ -234,6 +223,17 @@ TEST(CrashMatrixEnvTest, ServerBinaryIsWired) {
 }
 
 #if PAMAKV_FAILPOINTS
+
+std::uint64_t CrashSeed() {
+  if (const char* env = std::getenv("PAMAKV_CRASH_SEED")) {
+    return std::strtoull(env, nullptr, 0);
+  }
+  return 1;
+}
+
+bool IsKilledBySigkill(int status) {
+  return WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+}
 
 struct MatrixEntry {
   const char* seam;    ///< failpoint name
