@@ -489,7 +489,7 @@ void Server::ArmReapTimer() {
                       reap_sweeps_.fetch_add(1, std::memory_order_relaxed);
                     } catch (const std::bad_alloc&) {
                       // A starved sweep must not kill the loop thread; the
-                      // wheel still holds the nodes, so the next period
+                      // heap still holds the entries, so the next period
                       // retries the same work.
                       reap_failures_.fetch_add(1, std::memory_order_relaxed);
                     }

@@ -5,18 +5,20 @@ Starts pamakv-server with a 16 MiB cache over 4 shards and records its
 idle VmRSS, after the first `stats` and before any load: an idle server
 holds only structure, which must cost less than the capacity it caches.
 Then it pushes 1M distinct 200 B keys as `set ... noreply` over one
-connection and checks the server's peak memory against its capacity:
+connection, each with --exptime (default 0: no TTL), and checks the
+server's peak memory against its capacity:
 
     idle < capacity
     VmHWM - idle <= capacity + 384 B x curr_items [+ 160 B x flash_items]
 
 (the flash term only with --flash-dir). An evicted key may keep only its
-ghost, so the peak must follow the capacity and not the number of keys
-ever stored.
+ghost, and a TTL only its item handle's one expiry entry, so the peak
+must follow the capacity and not the number of keys ever stored.
 
 Usage:
     python3 tests/capacity_bound_smoke.py --server build/server/pamakv-server
     python3 tests/capacity_bound_smoke.py --server ... --flash-dir "$(mktemp -d)"
+    python3 tests/capacity_bound_smoke.py --server ... --exptime 3600
 """
 
 import argparse
@@ -69,6 +71,8 @@ def main():
     parser.add_argument("--server", required=True)
     parser.add_argument("--port", type=int, default=11239)
     parser.add_argument("--flash-dir", default="")
+    parser.add_argument("--exptime", type=int, default=0,
+                        help="exptime of every set (default 0: no TTL)")
     args = parser.parse_args()
 
     cmd = [args.server, f"--port={args.port}", "--policy=pama",
@@ -83,7 +87,8 @@ def main():
         value = b"v" * VALUE_BYTES
         for base in range(0, KEYS, CHUNK):
             sock.sendall(b"".join(
-                b"set k%07d 0 0 %d noreply\r\n%s\r\n" % (i, VALUE_BYTES, value)
+                b"set k%07d 0 %d %d noreply\r\n%s\r\n"
+                % (i, args.exptime, VALUE_BYTES, value)
                 for i in range(base, base + CHUNK)))
         st = stats(sock)  # answered once every set ahead of it ran
         peak_kib = status_kib(server.pid, "VmHWM")

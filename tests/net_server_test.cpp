@@ -1037,8 +1037,7 @@ TEST_F(ServerTest, ExpiryExactAtBoundary) {
   std::string value;
 
   // One millisecond before the deadline the item is fetchable; at the
-  // deadline it is a miss — lazy expiry on access is exact, not tick-
-  // granular like the background reaper.
+  // deadline it is a miss — lazy expiry on access is exact.
   clock_.Advance(5s - 1ms);
   EXPECT_TRUE(client.Get("ttl", value));
   clock_.Advance(1ms);
@@ -1154,8 +1153,8 @@ TEST_F(ServerTest, ReapSweepIsBatchBoundedUnderTenThousandExpired) {
   EXPECT_EQ(service_->Totals().items, kItems);
   EXPECT_EQ(service_->Totals().wheel_nodes, kItems);
 
-  // Past the deadline tick: every item is due. Each sweep may reap at
-  // most reap_batch per shard; the leftover carries to the next sweep.
+  // Past the deadline: every item is due. Each sweep may reap at most
+  // reap_batch per shard; the leftover carries to the next sweep.
   clock_.Advance(3s);
   constexpr std::size_t kBatch = 256;
   const std::size_t ceiling = kBatch * service_->shard_count();
@@ -1181,9 +1180,9 @@ TEST_F(ServerTest, ReapSweepIsBatchBoundedUnderTenThousandExpired) {
 }
 
 TEST_F(ServerTest, ReapExpiresWhicheverKeyTheNodesHandleHolds) {
-  // Wheel nodes are filed per item handle. b takes the handle a freed, at
-  // the deadline a's node already has pending, so it files none and that
-  // node must reap b. c is on a handle without a node and files its own.
+  // Expiry entries are filed per item handle. b takes the handle a freed,
+  // at the deadline a's entry already holds, so that entry stays put and
+  // must reap b. c is on a handle without an entry and files its own.
   StartServer("memcached", 1, /*shards=*/1);
   auto client = Connect();
   ASSERT_TRUE(client.Set("a", 1, "v", 60));
@@ -1207,8 +1206,8 @@ TEST_F(ServerTest, BackgroundReapTimerSweepsOnClockAdvance) {
   ASSERT_TRUE(client.Set("a", 1, "v", 1));
   ASSERT_TRUE(client.Set("b", 1, "v", 1));
 
-  // Two timer periods past the deadline tick: the loop-0 sweep fires on
-  // the FakeClock and reclaims both without any client access.
+  // Two timer periods past the deadline: the loop-0 sweep fires on the
+  // FakeClock and reclaims both without any client access.
   clock_.Advance(3s);
   ASSERT_TRUE(WaitUntil([&] { return server_->reaped_items() >= 2; }));
   EXPECT_EQ(service_->Totals().items, 0u);
