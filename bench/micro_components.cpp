@@ -8,14 +8,21 @@
 // cache against ReadNow), and one shard's warm restart from its log, with
 // and without its flash segments. Two more benches time the service under
 // key churn (stores that evict, and misses routed by ghosts), and one
-// times a metrics scrape of the service. BENCH_layers.json holds the run
-// of
+// times a metrics scrape of the service. One more times a PAMA window
+// rotation, which rebuilds the Bloom filters from the stack bottoms.
+// BENCH_layers.json holds the run of
 //
-//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead|LruStack|EngineGetSet|ServiceGetBatch|ServiceSetEvicting|ServiceGetMiss|RecoverShard'
+//   build/bench/micro_components --benchmark_filter='Crc32|WalAppend|FlashRead|LruStack|EngineGetSet|ServiceGetBatch|ServiceSetEvicting|ServiceGetMiss|RecoverShard|PamaRotateWindow'
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -241,6 +248,70 @@ void BM_ServiceGetBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kDepth));
 }
 BENCHMARK(BM_ServiceGetBatch);
+
+/// Evicts the cache line holding `p` from every cache level (a no-op off
+/// x86), so a bench can time a walk that starts cold.
+void FlushLine(const void* p) {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_clflush(p);
+#else
+  (void)p;
+#endif
+}
+
+// One Bloom-mode PAMA window rotation: decay every subclass's values and
+// rebuild its segment filters from the bottom m+1 slabs of its stack. The
+// engine is one shard of hot-pipelined: a 16 MiB `pama` engine holding 50k
+// keys with 16-143 B values and log-uniform penalties, every key read once
+// in a shuffled order after the load, so the walk follows LRU links that
+// jump around memory as they do after any run of traffic. Each iteration
+// forces one rotation. In a server a window's requests evict the items and
+// stack nodes from the caches before the next rotation walks them, so each
+// iteration first flushes every item and node (untimed). ns_per_item is
+// the time per walked item.
+void BM_PamaRotateWindow(benchmark::State& state) {
+  constexpr KeyId kKeys = 50'000;
+  auto engine = MakeEngine("pama", 16ULL << 20, SizeClassConfig{});
+  for (KeyId k = 0; k < kKeys; ++k) {
+    engine->Set(k, 16 + Mix64(k ^ 0x6b6579ULL) % 128,
+                static_cast<MicroSecs>(ChurnPenalty(k)));
+  }
+  std::vector<KeyId> order(kKeys);
+  for (KeyId k = 0; k < kKeys; ++k) order[k] = k;
+  Rng rng(11);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+  for (const KeyId k : order) {
+    if (!engine->Get(k, 0, 0).hit) state.SkipWithError("a loaded key missed");
+  }
+  const PamaConfig pama;
+  std::uint64_t walked = 0;
+  for (ClassId c = 0; c < engine->classes().num_classes(); ++c) {
+    const std::size_t region =
+        (pama.reference_segments + 1) * engine->classes().SlotsPerSlab(c);
+    for (SubclassId s = 0; s < engine->num_subclasses(); ++s) {
+      walked += std::min(engine->SubclassItemCount(c, s), region);
+    }
+  }
+  AccessClock t = engine->clock();
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine->ForEachItem([](const Item& item) {
+      FlushLine(&item);
+      FlushLine(item.node);
+    });
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    state.ResumeTiming();
+    engine->policy().OnTick(t += pama.window_accesses);
+  }
+  state.counters["walked"] = static_cast<double>(walked);
+  state.counters["ns_per_item"] = benchmark::Counter(
+      static_cast<double>(walked) * static_cast<double>(state.iterations()) *
+          1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PamaRotateWindow)->Unit(benchmark::kMicrosecond);
 
 constexpr std::uint64_t kChurnKeys = 1 << 18;
 
