@@ -37,6 +37,9 @@ class BloomFilter {
     return words_.size() * sizeof(std::uint64_t);
   }
 
+  /// Same geometry, same bits and same add count.
+  bool operator==(const BloomFilter&) const = default;
+
  private:
   struct HashPair {
     std::uint64_t h1;

@@ -47,6 +47,9 @@ class SegmentFilterSet {
   [[nodiscard]] std::size_t segment_count() const noexcept { return filters_.size(); }
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
+  /// Every segment filter and the removal filter equal, bit for bit.
+  bool operator==(const SegmentFilterSet&) const = default;
+
  private:
   std::vector<BloomFilter> filters_;
   BloomFilter removal_filter_;

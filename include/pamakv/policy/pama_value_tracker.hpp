@@ -56,7 +56,9 @@ class PamaValueTracker {
                   MicroSecs penalty);
 
   /// Window rotation: decays values and (in Bloom mode) rebuilds the
-  /// segment filters from the current stack bottoms.
+  /// segment filters from the current stack bottoms, walking up to eight
+  /// stacks in lockstep; every filter ends bit for bit as a serial walk
+  /// of each stack would leave it.
   void RotateWindow(CacheEngine& engine);
 
   /// Weighted outgoing value of the candidate slab (Eq. 2).
@@ -74,6 +76,12 @@ class PamaValueTracker {
   /// Total Bloom-filter memory (space-overhead reporting); 0 in exact mode.
   [[nodiscard]] std::size_t FilterFootprintBytes() const noexcept;
 
+  /// Subclass (c, s)'s segment filters; nullptr in exact mode.
+  [[nodiscard]] const SegmentFilterSet* filters(ClassId c,
+                                                SubclassId s) const noexcept {
+    return state_[Index(c, s)].filters.get();
+  }
+
  private:
   struct SubclassState {
     std::vector<double> seg_values;
@@ -88,6 +96,9 @@ class PamaValueTracker {
     return config_.penalty_aware ? static_cast<double>(penalty) : 1.0;
   }
   [[nodiscard]] double Weighted(const std::vector<double>& values) const noexcept;
+  /// Refills every subclass's filters from the bottom m+1 slabs of its
+  /// stack.
+  void RebuildFilters(const CacheEngine& engine);
 
   PamaConfig config_;
   std::size_t segments_;  // m + 1

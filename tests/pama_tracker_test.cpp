@@ -1,9 +1,12 @@
 // Unit tests for PAMA's segment-value bookkeeping (paper Sec. III, Eq. 1-2)
-// in exact-rank mode, plus window rotation and the pre-PAMA ablation.
+// in exact-rank mode, plus window rotation, the Bloom filter rebuild and
+// the pre-PAMA ablation.
 #include <gtest/gtest.h>
 
 #include "pamakv/cache/cache_engine.hpp"
 #include "pamakv/policy/pama.hpp"
+#include "pamakv/util/rng.hpp"
+#include "sim_decisions.hpp"
 
 namespace pamakv {
 namespace {
@@ -170,6 +173,95 @@ TEST(PamaTrackerTest, BloomModeAttributesAfterRebuild) {
   // marked removed: it must not double-count.
   e.Get(1, 512, 100);
   EXPECT_DOUBLE_EQ(h.pama->tracker().SegmentValue(3, 0, 0), 100.0);
+}
+
+/// The serial rebuild: subclass (c, s)'s filters refilled from a fresh set,
+/// one stack node at a time from the bottom, over the bottom m+1 slabs.
+SegmentFilterSet SerialRebuild(const CacheEngine& e, const PamaConfig& cfg,
+                               ClassId c, SubclassId s) {
+  const std::size_t segments = cfg.reference_segments + 1;
+  const std::size_t spp = e.classes().SlotsPerSlab(c);
+  SegmentFilterSet want(segments, spp, cfg.bloom_fpr);
+  LruStack::Node* node = e.StackOf(c, s).Bottom();
+  for (std::size_t k = 0; k < segments * spp && node != nullptr; ++k) {
+    want.AddToSegment(k / spp, e.ItemAt(node->value).key);
+    node = LruStack::TowardTop(node);
+  }
+  return want;
+}
+
+TEST(PamaTrackerTest, LockstepRebuildMatchesSerialWalk) {
+  // Seeded ETC traffic through a Bloom-mode engine with six classes and
+  // the paper's five bands; at each checkpoint a forced rotation rebuilds
+  // every subclass's filters, which must equal a serial walk's bit for
+  // bit and answer every cached key and 100,000 absent keys alike.
+  const SizeClassConfig geometry = test::SmallGeometry();
+  const SchemeOptions options = test::FastOptions();
+  auto engine =
+      MakeEngine("pama", 128 * geometry.slab_bytes, geometry, options);
+  ASSERT_EQ(engine->num_subclasses(), 5u);
+  const auto& tracker =
+      dynamic_cast<const PamaPolicy&>(engine->policy()).tracker();
+  WorkloadConfig wc = EtcWorkload(60'000, /*seed=*/5);
+  wc.geometry = geometry;
+  wc.class_weights.resize(geometry.num_classes);
+  SyntheticTrace trace(wc);
+
+  std::vector<KeyId> absent;
+  Rng rng(5);
+  while (absent.size() < 100'000) {
+    const KeyId key = rng.NextU64() | (KeyId{1} << 63);
+    if (!engine->Contains(key)) absent.push_back(key);
+  }
+
+  std::uint64_t requests = 0;
+  std::size_t checkpoints = 0;
+  std::size_t full_regions = 0;  // stacks longer than the walked region
+  std::uint64_t members = 0;     // cached keys some segment claims
+  std::uint64_t false_positives = 0;
+  Request r;
+  while (trace.Next(r)) {
+    if (r.op == Op::kDel) {
+      engine->Del(r.key);
+    } else if (r.op == Op::kSet ||
+               !engine->Get(r.key, r.size, r.penalty_us).hit) {
+      engine->Set(r.key, r.size, r.penalty_us);
+    }
+    if (++requests % 20'000 != 0) continue;
+    ++checkpoints;
+    engine->policy().OnTick(engine->clock() + options.pama.window_accesses);
+    std::vector<KeyId> cached;
+    engine->ForEachItem([&](const Item& item) { cached.push_back(item.key); });
+    for (ClassId c = 0; c < geometry.num_classes; ++c) {
+      for (SubclassId s = 0; s < engine->num_subclasses(); ++s) {
+        SCOPED_TRACE("checkpoint " + std::to_string(checkpoints) + " class " +
+                     std::to_string(c) + " band " + std::to_string(s));
+        const SegmentFilterSet want = SerialRebuild(*engine, options.pama, c, s);
+        const SegmentFilterSet* got = tracker.filters(c, s);
+        ASSERT_NE(got, nullptr);
+        EXPECT_TRUE(*got == want);
+        full_regions += engine->SubclassItemCount(c, s) >
+                        (options.pama.reference_segments + 1) *
+                            engine->classes().SlotsPerSlab(c);
+        std::size_t differ = 0;
+        for (const KeyId key : cached) {
+          differ += got->FindSegment(key) != want.FindSegment(key);
+          members += want.FindSegment(key).has_value();
+        }
+        for (const KeyId key : absent) {
+          differ += got->FindSegment(key) != want.FindSegment(key);
+          false_positives += want.FindSegment(key).has_value();
+        }
+        EXPECT_EQ(differ, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(checkpoints, 3u);
+  // The walks covered whole stacks and stacks cut at their region, and
+  // the absent keys include false positives to compare.
+  EXPECT_GT(full_regions, 0u);
+  EXPECT_GT(members, 0u);
+  EXPECT_GT(false_positives, 0u);
 }
 
 }  // namespace
