@@ -65,6 +65,8 @@ class PamaPolicy final : public AllocationPolicy {
     std::uint64_t refusals = 0;         ///< empty low-value subclass; store refused
   };
   [[nodiscard]] const Decisions& decisions() const noexcept { return decisions_; }
+  /// Window rotations so far.
+  [[nodiscard]] std::uint64_t rotations() const noexcept { return rotations_; }
 
   /// Running view of the value comparison at each MakeRoom decision —
   /// what the candidate donor's outgoing value was, what the requester's
@@ -106,6 +108,7 @@ class PamaPolicy final : public AllocationPolicy {
   PamaConfig config_;
   std::unique_ptr<PamaValueTracker> tracker_;
   Decisions decisions_;
+  std::uint64_t rotations_ = 0;
   ValueFlow value_flow_;
   /// band × band migration counts, row-major by source band.
   std::vector<std::uint64_t> migration_flow_;

@@ -19,6 +19,7 @@ void PamaPolicy::OnTick(AccessClock now) {
   now_ = now;
   if (now - window_start_ < config_.window_accesses) return;
   window_start_ = now;
+  ++rotations_;
   tracker_->RotateWindow(engine());
 }
 

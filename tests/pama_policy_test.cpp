@@ -156,6 +156,16 @@ TEST(PamaPolicyTest, DecisionCountersStartAtZero) {
   EXPECT_EQ(h.pama->name(), "pama");
 }
 
+TEST(PamaPolicyTest, CountsOneRotationPerWindow) {
+  PamaConfig cfg = Harness::DefaultConfig();
+  cfg.window_accesses = 10;
+  Harness h(1024, cfg);
+  EXPECT_EQ(h.pama->rotations(), 0u);
+  // Ticks 0..34: the windows close at 10, 20 and 30.
+  for (int i = 0; i < 35; ++i) h.engine->Get(1, 64, 100);
+  EXPECT_EQ(h.pama->rotations(), 3u);
+}
+
 TEST(PamaPolicyTest, GhostCapacityCoversTrackedSegments) {
   // The engine must size ghost lists to at least (m+1) segments so the
   // incoming-value estimate sees the whole receiving region.
