@@ -5,9 +5,11 @@
 // owning shard with ShardIndexFor, the server's routing, and hands the
 // requests over in fixed-size batches through one bounded SPSC ring per
 // worker. Each worker owns a private CacheEngine (capacity/N, its own
-// policy instance) and replays its sub-stream through the ordinary serial
+// policy instance, its clock advancing N per access as the server's
+// engines do) and replays its sub-stream through the ordinary serial
 // Simulator, so per-shard semantics — write-allocate, window sampling,
-// stats — are byte-identical to replaying that shard's sub-trace serially.
+// stats — are byte-identical to replaying that shard's sub-trace serially
+// on an engine with the same clock step.
 // A final merge step reduces the per-shard window series into one aggregate
 // SimResult (MergeWindows in sim/metrics).
 //
@@ -56,8 +58,9 @@ class ParallelSimulator {
   explicit ParallelSimulator(const ParallelSimConfig& config);
 
   /// Replays `trace` to exhaustion across config().shards workers. Each
-  /// engine is built as factory(total_capacity_bytes / shards). Worker
-  /// exceptions are re-thrown here after all threads join.
+  /// engine is built as factory(total_capacity_bytes / shards) and given a
+  /// clock step of `shards`. Worker exceptions are re-thrown here after
+  /// all threads join.
   ParallelSimResult Run(const EngineFactory& factory,
                         Bytes total_capacity_bytes, TraceSource& trace,
                         const std::string& workload = "");

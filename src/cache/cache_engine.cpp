@@ -89,7 +89,7 @@ void CacheEngine::ReleaseItem(ItemHandle h) noexcept { free_items_.push_back(h);
 GetResult CacheEngine::Get(KeyId key, Bytes size, MicroSecs miss_penalty,
                            bool by_ghost) {
   policy_->OnTick(clock_);
-  ++clock_;
+  clock_ += clock_step_;
   ++stats_.gets;
 
   const ItemHandle ref = index_.Find(key);
@@ -146,7 +146,7 @@ SetResult CacheEngine::Set(KeyId key, Bytes size, MicroSecs penalty) {
     index_.Reserve(index_.size() + 1);
   }
   policy_->OnTick(clock_);
-  ++clock_;
+  clock_ += clock_step_;
   ++stats_.sets;
 
   if (!cls_opt) {
@@ -255,7 +255,7 @@ ItemHandle CacheEngine::WriteGhost(std::size_t list, KeyId key,
 
 bool CacheEngine::Del(KeyId key) {
   policy_->OnTick(clock_);
-  ++clock_;
+  clock_ += clock_step_;
   ++stats_.dels;
   const ItemHandle h = index_.Find(key);
   if (!IsItem(h)) return false;
@@ -302,7 +302,7 @@ bool CacheEngine::RestoreItem(KeyId key, Bytes size, MicroSecs penalty) {
       return false;
     }
   }
-  ++clock_;
+  clock_ += clock_step_;
   InsertItem(key, size, penalty, cls, sub);
   return true;
 }

@@ -69,6 +69,8 @@ ParallelSimResult ParallelSimulator::Run(const EngineFactory& factory,
     if (!engine) {
       throw std::invalid_argument("ParallelSimulator: factory returned null");
     }
+    // As in the server: every shard's clock counts the whole trace.
+    engine->SetClockStep(shards);
     engines.push_back(std::move(engine));
   }
 
