@@ -29,7 +29,8 @@ VectorTrace MakeEtcTrace(std::uint64_t requests) {
 }
 
 /// The serial reference: shard i's sub-trace replayed through the ordinary
-/// Simulator on an engine built exactly like the parallel worker's.
+/// Simulator on an engine built exactly like the parallel worker's, its
+/// clock advancing `shards` per access.
 SimResult SerialShardReplay(const VectorTrace& full, std::size_t shard,
                             std::size_t shards, const SimConfig& sim_config) {
   std::vector<Request> sub;
@@ -38,6 +39,7 @@ SimResult SerialShardReplay(const VectorTrace& full, std::size_t shard,
   }
   VectorTrace trace(std::move(sub));
   auto engine = PamaFactory()(kTotalCapacity / shards);
+  engine->SetClockStep(shards);
   Simulator sim(sim_config);
   return sim.Run(*engine, trace);
 }
