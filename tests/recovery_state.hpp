@@ -23,7 +23,8 @@
 // Each part renders, in order: the RecoveryReport counters; per shard the
 // EngineSnapshot, each (class, band) stack's key ids bottom to top and its
 // ghost list oldest first, and the flash tier's counters; then per written
-// key its flash slot and what `gets` returns (value as length + FNV-1a).
+// key its flash slot (times relative to the service's clock) and what
+// `gets` returns (value as length + FNV-1a).
 // The engine is dumped before any GET, because a GET reorders the LRU.
 #pragma once
 
@@ -246,12 +247,18 @@ inline std::string RenderKeys(RecoveryNode& node,
     const flash::Slot* slot =
         node.tier != nullptr ? node.tier->Find(shard, id) : nullptr;
     if (slot != nullptr) {
+      // Times print relative to the service's clock, whatever frame the
+      // service keeps them in; the deadline's sentinels (0 never, negative
+      // expired on arrival) print as they are.
+      const std::int64_t now = node.service->NowNs();
+      const std::int64_t exp =
+          slot->expire_at_ns > 0 ? slot->expire_at_ns - now : slot->expire_at_ns;
       AppendF(out,
               " flash=%" PRIu64 "+%" PRIu64 "/%u cas=%" PRIu64
               " flags=%u len=%u exp=%" PRId64 " stored=%" PRId64
               " fseq=%" PRIu64 " c%u b%u",
               slot->seg, slot->offset, slot->frame_len, slot->cas, slot->flags,
-              slot->value_size, slot->expire_at_ns, slot->stored_at_ns,
+              slot->value_size, exp, slot->stored_at_ns - now,
               slot->flush_seq, static_cast<unsigned>(slot->cls),
               static_cast<unsigned>(slot->band));
     }
