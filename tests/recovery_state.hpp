@@ -1,4 +1,4 @@
-// Recovered-state pin: three crash directories, written by a seeded
+// Recovered-state pin: four crash directories, written by a seeded
 // workload under a FakeClock, recovered into a fresh service the way the
 // server starts (the flash tier attached, then Persister::Recover, whose
 // restore of each shard replays that shard's segments), rendered as text
@@ -19,6 +19,11 @@
 //                  one still pending at restart, and TTLs that lapse
 //                  during the downtime.
 //   torn-tail      every shard's newest WAL ends in half a frame.
+//   ttl-flash      TTL'd items on flash: 2 shards, 1 MiB, 4,000 keys with
+//                  relative, absolute, already-expired and no exptimes,
+//                  some lapsing during the downtime, touches on both
+//                  tiers, a snapshot partway through and a flush_all a day
+//                  away still pending at the crash.
 //
 // Each part renders, in order: the RecoveryReport counters; per shard the
 // EngineSnapshot, each (class, band) stack's key ids bottom to top and its
@@ -61,7 +66,7 @@ inline constexpr std::int64_t kRecoveryUnixBase = 1'700'000'000;
 
 /// Golden part names, in file order.
 inline std::vector<std::string> RecoveryStateParts() {
-  return {"wal-flash", "snapshot-tail", "torn-tail"};
+  return {"wal-flash", "snapshot-tail", "torn-tail", "ttl-flash"};
 }
 
 class RecoveryDir {
@@ -424,11 +429,68 @@ inline std::string RecordTornTail() {
   return out;
 }
 
+inline std::string RecordTtlFlash() {
+  const RecoveryDir data;
+  const RecoveryDir flash_dir;
+  util::FakeClock clock;
+  clock.SetWallBase(kRecoveryUnixBase * kRecoveryNsPerS);
+  constexpr std::uint64_t kKeys = 4'000;
+  std::vector<std::string> keys;
+  for (std::uint64_t i = 0; i < kKeys; ++i) keys.push_back(RecoveryKey('x', i));
+  // The downtime is 120 s: a 60 s TTL and an absolute exptime 90 s past
+  // the base lapse in it, 3,600 s and base + 7,200 s do not.
+  const auto exptime = [](std::uint64_t i) -> std::int64_t {
+    switch (i % 6) {
+      case 0: return 3'600;
+      case 1: return 60;
+      case 2: return kRecoveryUnixBase + 7'200;
+      case 3: return kRecoveryUnixBase + 90;
+      case 4: return -1;  // expired on arrival
+      default: return 0;
+    }
+  };
+  {
+    RecoveryNode node(clock, data.path(), flash_dir.path(), 2, 1 << 20);
+    net::CacheService& svc = *node.service;
+    const auto store = [&](std::uint64_t i, std::uint64_t version) {
+      svc.Store(net::StoreVerb::kSet, keys[i], RecoveryPenalty(i), exptime(i),
+                RecoveryValue(i, version, RecoveryValueLen(i + version)));
+      clock.Advance(std::chrono::milliseconds(1));
+    };
+    const auto touch = [&](std::uint64_t i) {
+      // Some of these keys are on flash, where a touch moves the header
+      // alone; 45 s lapses in the downtime, 1,800 s does not.
+      (void)svc.Touch(keys[i], i % 2 == 0 ? 45 : 1'800);
+      clock.Advance(std::chrono::milliseconds(1));
+    };
+    for (std::uint64_t i = 0; i < 2'500; ++i) store(i, 0);
+    for (std::uint64_t i = 0; i < 2'500; i += 9) touch(i);
+    if (!node.persister->SnapshotNow()) {
+      throw std::runtime_error("snapshot failed");
+    }
+    // The WAL tail.
+    for (std::uint64_t i = 2'500; i < kKeys; ++i) store(i, 0);
+    for (std::uint64_t i = 0; i < kKeys; i += 7) store(i, 1);
+    for (std::uint64_t i = 5; i < kKeys; i += 13) svc.Del(keys[i]);
+    for (std::uint64_t i = 2; i < kKeys; i += 11) touch(i);
+    // Pending at the crash: a day away.
+    svc.FlushAll(86'400);
+    clock.Advance(std::chrono::seconds(1));
+    for (std::uint64_t i = 3'000; i < kKeys; i += 5) store(i, 2);
+  }
+  clock.Advance(std::chrono::seconds(120));
+  RecoveryNode warm(clock, data.path(), flash_dir.path(), 2, 1 << 20);
+  std::string out = RenderRecovered(warm);
+  out += RenderKeys(warm, keys);
+  return out;
+}
+
 /// Runs the crash and recovery named by `part` and renders the result.
 inline std::string RecordRecoveryState(const std::string& part) {
   if (part == "wal-flash") return RecordWalFlash();
   if (part == "snapshot-tail") return RecordSnapshotTail();
   if (part == "torn-tail") return RecordTornTail();
+  if (part == "ttl-flash") return RecordTtlFlash();
   throw std::invalid_argument("unknown recovery part " + part);
 }
 
