@@ -579,7 +579,7 @@ void BM_RecoverShard(benchmark::State& state) {
       rec.key = key;
       rec.value = value;
       rec.flags = ChurnPenalty(k);
-      rec.stored_unix_ns = unix_now_ns;
+      rec.stored_at_ns = unix_now_ns;
       rec.cas = k + 1;
       (void)wal.AppendStore(rec);
     }
@@ -603,7 +603,7 @@ void BM_RecoverShard(benchmark::State& state) {
     persist::RecoveryReport report;
     service->RestoreShard(
         0, persist::RecoverShardState(dir.path(), 0, 1,
-                                      service->UnixNsOfTime(service->NowNs()),
+                                      service->NowNs(),
                                       &report));
     recovered = report.items_recovered;
     state.PauseTiming();
@@ -674,7 +674,7 @@ void BM_RecoverShardWithFlash(benchmark::State& state) {
     persist::RecoveryReport report;
     service->RestoreShard(
         0, persist::RecoverShardState(data.path(), 0, 1,
-                                      service->UnixNsOfTime(service->NowNs()),
+                                      service->NowNs(),
                                       &report));
     recovered = report.items_recovered;
     flash_items = tier->ItemCount(0);

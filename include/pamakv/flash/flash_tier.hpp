@@ -74,17 +74,14 @@ struct FlashConfig {
   bool io_thread = true;
 };
 
-/// One decoded segment record. String views alias the caller's buffer.
-struct Record {
+/// One decoded segment record, under the header the slot it indexes
+/// carries (a tombstone fills only the key and cas). String views alias
+/// the caller's buffer.
+struct Record : ItemMeta {
   bool tombstone = false;
   std::string_view key;
   std::string_view value;
-  std::uint32_t flags = 0;
-  std::uint64_t cas = 0;
   MicroSecs penalty_us = 0;
-  std::int64_t expire_unix_ns = 0;  ///< 0 = never
-  std::int64_t stored_unix_ns = 0;
-  std::uint64_t flush_seq = 0;
   ClassId cls = 0;
   SubclassId band = 0;
 };
@@ -92,8 +89,7 @@ struct Record {
 /// Index entry for a flash-resident key: where the live record sits plus
 /// everything the service needs to answer metadata questions (touch, cas
 /// compare, expiry, admission value) without a disk read. The header is
-/// the one a DRAM record carries; its monotonic times are converted by
-/// the service at demote/recover time.
+/// the one a DRAM record carries and the record persists.
 struct Slot : ItemMeta {
   std::uint64_t seg = 0;
   std::uint64_t offset = 0;     ///< frame start within the segment file
@@ -169,16 +165,13 @@ class FlashTier {
 
   // ---- demotion ----
 
-  /// The item to append: its header becomes the slot's, and the unix
-  /// times are what the record persists.
+  /// The item to append: its header becomes the record's and the slot's.
   struct DemoteMeta : ItemMeta {
     std::string_view key;
     std::string_view value;
     MicroSecs penalty = 0;
     ClassId cls = 0;
     SubclassId band = 0;
-    std::int64_t expire_unix_ns = 0;  ///< persisted (record)
-    std::int64_t stored_unix_ns = 0;  ///< persisted (record)
   };
 
   /// Appends one item record and indexes it. False (and nothing indexed)
@@ -237,10 +230,10 @@ class FlashTier {
 
   /// Replays shard `shard`'s segment files in log order. Call it once per
   /// shard, before anything appends to the shard: until then the shard's
-  /// first append opens segment 0 with O_TRUNC, over the one on disk. For
-  /// each surviving item record, `admit` fills the slot's monotonic fields
-  /// and returns whether to keep it (false: expired / flush-covered / a
-  /// newer copy exists — the record stays on disk as a dead frame).
+  /// first append opens segment 0 with O_TRUNC, over the one on disk. Each
+  /// surviving item record's slot takes the record's header, and `admit`
+  /// returns whether to keep it (false: expired / flush-covered / a newer
+  /// copy exists — the record stays on disk as a dead frame).
   /// Corrupt segments, and the files of shards this tier does not have,
   /// are unlinked wholesale.
   using AdmitFn =

@@ -56,9 +56,9 @@ struct CacheServiceConfig {
   /// the process SteadyClock; tests inject a FakeClock and replay exact
   /// boundaries.
   util::Clock* clock = nullptr;
-  /// Unix time (seconds) corresponding to the clock's *current* reading,
-  /// used to convert absolute exptimes (> 30 days) to monotonic
-  /// deadlines. 0 => time(nullptr) at construction; tests pin it.
+  /// Unix time (seconds) corresponding to the clock's *current* reading:
+  /// the service's time (NowNs) starts there. 0 => the clock's wall time
+  /// at construction; tests pin it.
   std::int64_t unix_now_s = 0;
 };
 
@@ -256,13 +256,19 @@ class CacheService {
   /// data path never waits behind more than one bounded sweep.
   std::size_t ReapExpired(std::size_t max_per_shard);
 
-  /// Current reading of the configured clock (monotonic nanoseconds).
-  [[nodiscard]] std::int64_t NowNs() const { return clock_->NowNanos(); }
+  /// The service's time, in unix nanoseconds: the configured clock's
+  /// monotonic reading plus the offset captured at construction (or by
+  /// ReanchorNow), so it moves only with the monotonic clock. Every item
+  /// time, flush cutover and expiry deadline is in this frame, the one
+  /// the logs and the flash records persist.
+  [[nodiscard]] std::int64_t NowNs() const {
+    return clock_->NowNanos() + unix_offset_ns_;
+  }
 
-  /// Monotonic-ns deadline for a memcached exptime relative to `now_ns`:
+  /// Deadline, in service time, for a memcached exptime at `now_ns`:
   /// 0 => 0 (never), negative => already expired, <= 30 days => relative
-  /// seconds, else absolute unix seconds against the configured unix
-  /// anchor. Exposed for tests and the load generator.
+  /// seconds, else absolute unix seconds as they are (one not after now
+  /// is already expired). Exposed for tests and the load generator.
   [[nodiscard]] std::int64_t DeadlineFor(std::int64_t exptime_s,
                                          std::int64_t now_ns) const noexcept;
 
@@ -373,10 +379,10 @@ class CacheService {
   /// server listens.
   void RestoreShard(std::size_t index, persist::ShardRestoreState st);
 
-  /// Re-captures the (unix, mono) anchor from the clock. The persister
-  /// calls this after recovery replay so absolute-exptime conversion and
-  /// persisted timestamps are anchored at "now", not at construction
-  /// (recovery can spend real time replaying a large WAL).
+  /// Re-captures NowNs's offset from the clock's wall time. The server
+  /// calls this after recovery replay, which can spend real time on a
+  /// large WAL, so the service's time serves from the wall time at that
+  /// moment, not at construction. Call it before serving traffic.
   void ReanchorNow();
 
   // ---- flash victim tier ----
@@ -438,17 +444,6 @@ class CacheService {
                         std::vector<char>& out, bool with_cas, bool touch,
                         std::int64_t exptime_s);
 
-  // Monotonic <-> unix-ns conversion against the service's (unix, mono)
-  // anchor. The *Deadline* pair preserves the expiry sentinels (0 never,
-  // negative already-expired); the *Time* pair is plain affine (a
-  // FakeClock legitimately reads 0).
-  [[nodiscard]] std::int64_t UnixNsOfTime(std::int64_t mono_ns) const noexcept;
-  [[nodiscard]] std::int64_t MonoTimeOf(std::int64_t unix_ns) const noexcept;
-  [[nodiscard]] std::int64_t UnixNsOfDeadline(
-      std::int64_t mono_deadline_ns) const noexcept;
-  [[nodiscard]] std::int64_t MonoDeadlineOf(
-      std::int64_t unix_deadline_ns) const noexcept;
-
  private:
   /// One cached key's bytes, under the header a flash slot shares.
   struct Record : ItemMeta {
@@ -482,7 +477,7 @@ class CacheService {
     ExpiryHeap expiry;
     std::uint64_t cas_counter = 0;
     std::uint64_t collisions = 0;
-    /// Pending/active flush_all cutover (monotonic ns); 0 = none ever.
+    /// Pending/active flush_all cutover (service time); 0 = none ever.
     std::int64_t flush_at_ns = 0;
     /// Count of flush_all commands applied to this shard.
     std::uint64_t flush_seq = 0;
@@ -635,7 +630,6 @@ class CacheService {
   /// another shard (the shard count changed), is not newer than the DRAM
   /// copy, or is older than its key's entry in `dead` (key, cas): a state
   /// the restore did not seat, that died on boot or was deleted.
-  /// Survivors get monotonic deadlines against the current anchor.
   void ReplayFlashLocked(Shard& shard,
                          std::vector<std::pair<KeyId, std::uint64_t>> dead);
 
@@ -669,15 +663,8 @@ class CacheService {
   std::vector<std::unique_ptr<Shard>> shards_;
   MicroSecs default_penalty_us_;
   util::Clock* clock_;  ///< never null (defaults to the SteadyClock)
-  /// Anchors for absolute-exptime conversion: unix_base_s_ is the unix
-  /// time that the clock read mono_base_ns_ (both captured at
-  /// construction, or pinned via config for tests). unix_base_ns_ is the
-  /// same anchor at nanosecond precision — persistence timestamps cross
-  /// process restarts, where a whole-second anchor would skew every
-  /// recovered store/flush/TTL moment by up to a second.
-  std::int64_t unix_base_s_;
-  std::int64_t unix_base_ns_;
-  std::int64_t mono_base_ns_;
+  /// Unix time minus the clock's monotonic reading: NowNs's offset.
+  std::int64_t unix_offset_ns_;
   util::MetricsRegistry* metrics_ = nullptr;  ///< set by RegisterMetrics
   persist::MutationSink* sink_ = nullptr;     ///< set by SetPersistence
   flash::FlashTier* flash_ = nullptr;         ///< set by AttachFlash

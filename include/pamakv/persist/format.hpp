@@ -199,16 +199,14 @@ struct WalHeader {
 void EncodeWalHeader(std::vector<char>& payload, const WalHeader& h);
 [[nodiscard]] bool DecodeWalHeader(std::string_view payload, WalHeader* out);
 
-/// Decoded mutation record; string fields view into the file buffer.
-struct WalRecord {
+/// Decoded mutation record; string fields view into the file buffer. A
+/// kWalStore fills the header's flags, cas and times, a kWalTouch its
+/// times.
+struct WalRecord : ItemMeta {
   RecordType type = RecordType::kWalStore;
   std::uint64_t seq = 0;
   std::string_view key;
   std::string_view value;             // kWalStore
-  std::uint32_t flags = 0;            // kWalStore
-  std::int64_t expire_unix_ns = 0;    // kWalStore / kWalTouch
-  std::int64_t stored_unix_ns = 0;    // kWalStore / kWalTouch
-  std::uint64_t cas = 0;              // kWalStore
   std::int64_t cutover_unix_ns = 0;   // kWalFlush
 };
 

@@ -86,11 +86,12 @@ class Persister : public MutationSink {
   void Stop();
 
   /// Takes a full snapshot on the calling thread (all shards), serialized
-  /// against concurrent snapshots. `deadline_mono_ns` != 0 bounds the
-  /// work (SIGTERM's --drain-ms budget): a shard that cannot finish in
-  /// time is abandoned — its rolled WAL still covers everything, so
-  /// nothing is lost. Returns true when every shard snapshotted.
-  bool SnapshotNow(std::int64_t deadline_mono_ns = 0);
+  /// against concurrent snapshots. `deadline_ns` != 0, in service time
+  /// (CacheService::NowNs), bounds the work (SIGTERM's --drain-ms
+  /// budget): a shard that cannot finish in time is abandoned — its
+  /// rolled WAL still covers everything, so nothing is lost. Returns true
+  /// when every shard snapshotted.
+  bool SnapshotNow(std::int64_t deadline_ns = 0);
 
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -112,7 +113,7 @@ class Persister : public MutationSink {
 
  private:
   void BgLoop();
-  bool SnapshotShard(std::size_t shard, std::int64_t deadline_mono_ns);
+  bool SnapshotShard(std::size_t shard, std::int64_t deadline_ns);
   /// Deletes snapshots/generations the snapshot just written supersedes.
   void CleanupShardFiles(std::size_t shard, std::uint64_t covered_seq,
                          std::uint64_t current_gen);

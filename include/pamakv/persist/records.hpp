@@ -6,10 +6,11 @@
 // (wal/recovery/persister) includes cache_service.hpp — keeping the
 // include graph acyclic.
 //
-// Time convention: everything persisted is UNIX nanoseconds, because the
-// monotonic clock does not survive a restart. Expiry deadlines keep the
-// service's sentinels: 0 = never expires, negative = already expired.
-// CacheService converts to/from its monotonic anchor at the boundary.
+// Time convention: everything persisted is unix nanoseconds, because the
+// monotonic clock does not survive a restart. That is the service's own
+// frame (CacheService::NowNs), so an item's header (ItemMeta) is persisted
+// as it is held, with no conversion. Expiry deadlines keep the service's
+// sentinels: 0 = never expires, negative = already expired.
 #pragma once
 
 #include <cstddef>
@@ -23,27 +24,21 @@
 
 namespace pamakv::persist {
 
-/// One acknowledged mutation, as appended to the write-ahead log. Views
+/// One acknowledged store, as appended to the write-ahead log: the key,
+/// the value and the item's header (its flush seq is not logged). Views
 /// point into the service's records and are only valid for the
 /// duration of the sink call (made under the shard lock).
-struct WalStore {
+struct WalStore : ItemMeta {
   std::string_view key;
   std::string_view value;
-  std::uint32_t flags = 0;
-  std::int64_t expire_unix_ns = 0;  ///< 0 never, <0 already expired
-  std::int64_t stored_unix_ns = 0;
-  std::uint64_t cas = 0;
 };
 
-/// One item the snapshot writer serializes (owning strings: snapshots are
-/// serialized in batches after the capture lock is dropped).
-struct SnapItem {
+/// One item the snapshot writer serializes, under its header (owning
+/// strings: snapshots are serialized in batches after the capture lock is
+/// dropped).
+struct SnapItem : ItemMeta {
   std::string key;
   std::string value;
-  std::uint32_t flags = 0;
-  std::int64_t expire_unix_ns = 0;
-  std::int64_t stored_unix_ns = 0;
-  std::uint64_t cas = 0;
   /// Global LRU position: snapshot items carry the engine access clock,
   /// WAL-replayed items carry sequence numbers offset far above it, so
   /// sorting by `order` ascending reproduces coldest-to-hottest.
@@ -87,14 +82,11 @@ class FileBytes {
 
 /// One recovered item: its newest state after replay, viewing the bytes of
 /// the snapshot or log record it came from (ShardRestoreState::files).
-struct RestoredItem {
+/// The header's flush seq is not persisted; the restore sets it.
+struct RestoredItem : ItemMeta {
   KeyId id = 0;  ///< HashStringKey(key), computed once by the replay
   std::string_view key;
   std::string_view value;
-  std::uint32_t flags = 0;
-  std::int64_t expire_unix_ns = 0;
-  std::int64_t stored_unix_ns = 0;
-  std::uint64_t cas = 0;
   /// Global LRU position, as SnapItem::order.
   std::uint64_t order = 0;
 };

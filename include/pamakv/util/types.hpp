@@ -34,9 +34,11 @@ using ItemHandle = std::uint32_t;
 inline constexpr ItemHandle kInvalidHandle =
     std::numeric_limits<ItemHandle>::max();
 
-/// The memcached state of one stored value: the header a DRAM record and a
-/// flash slot share, so every item rule (lapse, touch, cas compare) reads
-/// the same fields on either tier. Times are monotonic nanoseconds.
+/// The memcached state of one stored value: the header a DRAM record, a
+/// flash slot and every persisted item record share, so every item rule
+/// (lapse, touch, cas compare) reads the same fields on either tier, and
+/// the header crosses DRAM, flash and the logs unconverted. Times are unix
+/// nanoseconds, in the service's clock (CacheService::NowNs).
 struct ItemMeta {
   std::uint32_t flags = 0;
   std::uint64_t cas = 0;

@@ -206,8 +206,8 @@ int Main(int argc, char** argv) {
         static_cast<std::size_t>(args.GetInt("snapshot-batch", 512));
     persister = std::make_unique<persist::Persister>(service, persist_cfg);
     const persist::RecoveryReport report = persister->Recover();
-    // Recovery can take long enough for the startup wall/mono anchor to
-    // drift; re-capture it so absolute exptimes land on fresh bases.
+    // Recovery can take long enough for the wall clock to drift from the
+    // monotonic one; re-capture the service's time from the wall clock.
     service.ReanchorNow();
     service.SetPersistence(persister.get());
     persister->Start();
@@ -313,8 +313,8 @@ int Main(int argc, char** argv) {
   // server still gets responses for everything it sent. The whole drain —
   // connections AND the farewell snapshot below — shares one --drain-ms
   // budget.
-  const auto drain_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(drain_ms);
+  const std::int64_t drain_deadline_ns =
+      service.NowNs() + drain_ms * 1'000'000;
   if (metrics_http != nullptr) metrics_http->Stop();
   const bool clean = server.Shutdown(std::chrono::milliseconds(drain_ms));
   std::fprintf(stderr, "# drain %s\n",
@@ -324,10 +324,7 @@ int Main(int argc, char** argv) {
     // Farewell snapshot so the next start replays no log tail; bounded by
     // whatever drain budget remains (an abandoned shard's rolled WAL
     // still covers everything — slower restart, nothing lost).
-    const bool full = persister->SnapshotNow(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            drain_deadline.time_since_epoch())
-            .count());
+    const bool full = persister->SnapshotNow(drain_deadline_ns);
     persister->Stop();
     std::fprintf(stderr, "# final snapshot %s\n",
                  full ? "complete" : "partial (drain budget expired)");

@@ -103,8 +103,8 @@ void FlashTier::EncodeItemRecord(std::vector<char>& payload,
   enc.U32(rec.flags);
   enc.U64(rec.cas);
   enc.I64(rec.penalty_us);
-  enc.I64(rec.expire_unix_ns);
-  enc.I64(rec.stored_unix_ns);
+  enc.I64(rec.expire_at_ns);
+  enc.I64(rec.stored_at_ns);
   enc.U64(rec.flush_seq);
   enc.U32(rec.cls);
   enc.U32(rec.band);
@@ -134,8 +134,8 @@ bool FlashTier::DecodeRecord(std::string_view payload, Record* out) {
   out->flags = dec.U32();
   out->cas = dec.U64();
   out->penalty_us = static_cast<MicroSecs>(dec.I64());
-  out->expire_unix_ns = dec.I64();
-  out->stored_unix_ns = dec.I64();
+  out->expire_at_ns = dec.I64();
+  out->stored_at_ns = dec.I64();
   out->flush_seq = dec.U64();
   out->cls = dec.U32();
   out->band = dec.U32();
@@ -295,14 +295,10 @@ bool FlashTier::AppendItem(std::size_t shard, KeyId id,
                            const DemoteMeta& meta) {
   ShardState& st = shards_[shard];
   Record rec;
+  rec.header() = meta;
   rec.key = meta.key;
   rec.value = meta.value;
-  rec.flags = meta.flags;
-  rec.cas = meta.cas;
   rec.penalty_us = meta.penalty;
-  rec.expire_unix_ns = meta.expire_unix_ns;
-  rec.stored_unix_ns = meta.stored_unix_ns;
-  rec.flush_seq = meta.flush_seq;
   rec.cls = meta.cls;
   rec.band = meta.band;
   std::vector<char> payload;
@@ -687,8 +683,7 @@ void FlashTier::Recover(std::size_t shard, const AdmitFn& admit) {
         continue;
       }
       Slot slot;
-      // The monotonic times are the admit callback's to fill.
-      slot.header() = {rec.flags, rec.cas, 0, 0, rec.flush_seq};
+      slot.header() = rec;
       slot.seg = seg_id;
       slot.offset = off;
       slot.frame_len = static_cast<std::uint32_t>(payload.size() + 8);

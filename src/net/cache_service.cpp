@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
-#include <ctime>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
@@ -132,11 +130,11 @@ CacheService::CacheService(const CacheServiceConfig& config,
       clock_(config.clock != nullptr ? config.clock
                                      : &util::SteadyClock::Instance()),
       // Wall time goes through the clock seam (not system_clock directly)
-      // so FakeClock tests can pin the absolute-exptime anchor.
-      unix_base_ns_(config.unix_now_s != 0 ? config.unix_now_s * kNsPerSecond
-                                           : clock_->WallNowNs()),
-      mono_base_ns_(clock_->NowNanos()) {
-  unix_base_s_ = unix_base_ns_ / kNsPerSecond;
+      // so FakeClock tests can pin the service's time.
+      unix_offset_ns_((config.unix_now_s != 0
+                           ? config.unix_now_s * kNsPerSecond
+                           : clock_->WallNowNs()) -
+                      clock_->NowNanos()) {
   if (config.shards == 0) throw std::invalid_argument("shards must be >= 1");
   shards_.reserve(config.shards);
   const Bytes per_shard = config.capacity_bytes / config.shards;
@@ -153,12 +151,10 @@ CacheService::CacheService(const CacheServiceConfig& config,
 }
 
 void CacheService::ReanchorNow() {
-  // A simultaneous (unix, mono) pair defines the same affine mapping no
+  // A simultaneous (wall, monotonic) pair defines the same offset no
   // matter when it is taken; re-capturing after a long recovery replay
   // just sheds whatever drift accumulated since construction.
-  unix_base_ns_ = clock_->WallNowNs();
-  mono_base_ns_ = clock_->NowNanos();
-  unix_base_s_ = unix_base_ns_ / kNsPerSecond;
+  unix_offset_ns_ = clock_->WallNowNs() - clock_->NowNanos();
 }
 
 std::int64_t CacheService::DeadlineFor(std::int64_t exptime_s,
@@ -168,32 +164,11 @@ std::int64_t CacheService::DeadlineFor(std::int64_t exptime_s,
   // always-in-the-past sentinel (0 would mean "never").
   if (exptime_s < 0) return -1;
   if (exptime_s <= kRelativeLimitS) return now_ns + exptime_s * kNsPerSecond;
-  // Absolute unix seconds, anchored to the (unix, monotonic) pair captured
-  // at construction.
-  const std::int64_t rel = exptime_s - unix_base_s_;
-  if (rel <= 0) return -1;
-  return mono_base_ns_ + std::min(rel, kMaxAheadS) * kNsPerSecond;
-}
-
-std::int64_t CacheService::UnixNsOfTime(std::int64_t mono_ns) const noexcept {
-  return unix_base_ns_ + (mono_ns - mono_base_ns_);
-}
-
-std::int64_t CacheService::MonoTimeOf(std::int64_t unix_ns) const noexcept {
-  return mono_base_ns_ + (unix_ns - unix_base_ns_);
-}
-
-std::int64_t CacheService::UnixNsOfDeadline(
-    std::int64_t mono_deadline_ns) const noexcept {
-  // 0 (never) and negative (already expired) are sentinels, not times.
-  return mono_deadline_ns <= 0 ? mono_deadline_ns
-                               : UnixNsOfTime(mono_deadline_ns);
-}
-
-std::int64_t CacheService::MonoDeadlineOf(
-    std::int64_t unix_deadline_ns) const noexcept {
-  return unix_deadline_ns <= 0 ? unix_deadline_ns
-                               : MonoTimeOf(unix_deadline_ns);
+  // Absolute unix seconds: the service's time is unix, so the exptime is
+  // the deadline itself, at its whole second.
+  const std::int64_t deadline =
+      std::min(exptime_s, now_ns / kNsPerSecond + kMaxAheadS) * kNsPerSecond;
+  return deadline > now_ns ? deadline : -1;
 }
 
 bool CacheService::Lapsed(const Shard& shard, const ItemMeta& meta,
@@ -232,8 +207,7 @@ void CacheService::ApplyTouch(Shard& shard, KeyId id, std::string_view key,
   }
   ++shard.counters.touch_hits;
   if (sink_ != nullptr) {
-    sink_->OnTouch(shard.index, key, UnixNsOfDeadline(meta.expire_at_ns),
-                   UnixNsOfTime(now));
+    sink_->OnTouch(shard.index, key, meta.expire_at_ns, meta.stored_at_ns);
   }
 }
 
@@ -318,12 +292,9 @@ void CacheService::LogStore(const Shard& shard, std::string_view key,
                             std::string_view value, const ItemMeta& meta) {
   if (sink_ == nullptr) return;
   persist::WalStore rec;
+  rec.header() = meta;
   rec.key = key;
   rec.value = value;
-  rec.flags = meta.flags;
-  rec.expire_unix_ns = UnixNsOfDeadline(meta.expire_at_ns);
-  rec.stored_unix_ns = UnixNsOfTime(meta.stored_at_ns);
-  rec.cas = meta.cas;
   sink_->OnStore(shard.index, rec);
 }
 
@@ -732,7 +703,7 @@ void CacheService::FlushAll(std::int64_t delay_s) {
     shard->flush_at_ns = now + delay * kNsPerSecond;
     ++shard->flush_seq;
     if (sink_ != nullptr) {
-      sink_->OnFlush(shard->index, UnixNsOfTime(shard->flush_at_ns));
+      sink_->OnFlush(shard->index, shard->flush_at_ns);
     }
   }
   if (sink_ != nullptr) {
@@ -775,8 +746,7 @@ persist::ShardCaptureMeta CacheService::CapturePersistMeta(
   persist::ShardCaptureMeta meta;
   meta.cas_counter = shard.cas_counter;
   meta.flush_seq = shard.flush_seq;
-  meta.flush_at_unix_ns =
-      shard.flush_seq != 0 ? UnixNsOfTime(shard.flush_at_ns) : 0;
+  meta.flush_at_unix_ns = shard.flush_at_ns;
   const CacheEngine& engine = *shard.engine;
   const std::uint32_t num_classes = engine.classes().num_classes();
   const std::uint32_t num_bands = engine.num_subclasses();
@@ -826,12 +796,9 @@ std::size_t CacheService::CaptureItems(std::size_t index,
     const Record* record = shard.RecordOf(keys[i]);
     if (record == nullptr || Lapsed(shard, *record, now)) continue;
     persist::SnapItem snap;
+    snap.header() = *record;
     snap.key = record->key;
     snap.value = record->value;
-    snap.flags = record->flags;
-    snap.expire_unix_ns = UnixNsOfDeadline(record->expire_at_ns);
-    snap.stored_unix_ns = UnixNsOfTime(record->stored_at_ns);
-    snap.cas = record->cas;
     snap.order = shard.engine->ItemAt(shard.engine->HandleOf(keys[i]))
                      .last_access;
     out.push_back(std::move(snap));
@@ -846,7 +813,7 @@ void CacheService::RestoreShard(std::size_t index,
   shard.cas_counter = std::max(shard.cas_counter, st.cas_counter);
   if (st.flush_seq != 0) {
     shard.flush_seq = st.flush_seq;
-    shard.flush_at_ns = MonoTimeOf(st.flush_at_unix_ns);
+    shard.flush_at_ns = st.flush_at_unix_ns;
   }
   CacheEngine& engine = *shard.engine;
   const std::uint32_t num_classes = engine.classes().num_classes();
@@ -881,9 +848,8 @@ void CacheService::RestoreShard(std::size_t index,
   const std::int64_t now = NowNs();
   for (const persist::RestoredItem& item : st.items) {
     const KeyId id = item.id;
-    const ItemMeta meta{item.flags, item.cas,
-                        MonoDeadlineOf(item.expire_unix_ns),
-                        MonoTimeOf(item.stored_unix_ns), shard.flush_seq};
+    ItemMeta meta = item.header();
+    meta.flush_seq = shard.flush_seq;
     if (Lapsed(shard, meta, now)) continue;
     Record& next = StageRecord(shard, item.key, meta, item.value);
     const MicroSecs penalty = PenaltyOf(item.flags);
@@ -939,11 +905,8 @@ void CacheService::ReplayFlashLocked(
     // Routing lives here, not in the tier: a record written under a
     // different shard count lands in the wrong file and is dropped.
     if (ShardIndexForId(id) != shard.index) return false;
-    // The slot's header comes with the record's flags, cas and flush seq;
-    // with its monotonic times filled in, the lapse rule judges it as it
+    // The slot's header is the record's: the lapse rule judges it as it
     // judges a record.
-    slot->expire_at_ns = MonoDeadlineOf(rec.expire_unix_ns);
-    slot->stored_at_ns = MonoTimeOf(rec.stored_unix_ns);
     if (Lapsed(shard, *slot, now)) return false;
     // A DRAM copy recovered from snapshot/WAL with an equal-or-newer cas
     // supersedes the record, as does a newer state replay could not seat
@@ -1057,8 +1020,6 @@ bool CacheService::AppendToFlash(Shard& shard, KeyId id, std::string_view key,
   demote.penalty = penalty;
   demote.cls = cls;
   demote.band = band;
-  demote.expire_unix_ns = UnixNsOfDeadline(meta.expire_at_ns);
-  demote.stored_unix_ns = UnixNsOfTime(meta.stored_at_ns);
   return flash_->AppendItem(shard.index, id, demote);
 }
 

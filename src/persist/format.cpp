@@ -273,8 +273,8 @@ void EncodeSnapItem(std::vector<char>& payload, const SnapItem& item) {
   e.Bytes(item.key);
   e.Bytes(item.value);
   e.U32(item.flags);
-  e.I64(item.expire_unix_ns);
-  e.I64(item.stored_unix_ns);
+  e.I64(item.expire_at_ns);
+  e.I64(item.stored_at_ns);
   e.U64(item.cas);
   e.U64(item.order);
 }
@@ -289,8 +289,8 @@ bool DecodeSnapItem(std::string_view payload, RestoredItem* out) {
     return false;
   }
   out->flags = d.U32();
-  out->expire_unix_ns = d.I64();
-  out->stored_unix_ns = d.I64();
+  out->expire_at_ns = d.I64();
+  out->stored_at_ns = d.I64();
   out->cas = d.U64();
   out->order = d.U64();
   return d.ok() && d.AtEnd();
@@ -342,8 +342,8 @@ void EncodeWalStore(std::vector<char>& payload, std::uint64_t seq,
   e.Bytes(rec.key);
   e.Bytes(rec.value);
   e.U32(rec.flags);
-  e.I64(rec.expire_unix_ns);
-  e.I64(rec.stored_unix_ns);
+  e.I64(rec.expire_at_ns);
+  e.I64(rec.stored_at_ns);
   e.U64(rec.cas);
 }
 
@@ -384,8 +384,8 @@ bool DecodeWalRecord(std::string_view payload, WalRecord* out) {
       out->key = d.Bytes();
       out->value = d.Bytes();
       out->flags = d.U32();
-      out->expire_unix_ns = d.I64();
-      out->stored_unix_ns = d.I64();
+      out->expire_at_ns = d.I64();
+      out->stored_at_ns = d.I64();
       out->cas = d.U64();
       break;
     case RecordType::kWalDelete:
@@ -393,8 +393,8 @@ bool DecodeWalRecord(std::string_view payload, WalRecord* out) {
       break;
     case RecordType::kWalTouch:
       out->key = d.Bytes();
-      out->expire_unix_ns = d.I64();
-      out->stored_unix_ns = d.I64();
+      out->expire_at_ns = d.I64();
+      out->stored_at_ns = d.I64();
       break;
     case RecordType::kWalFlush:
       out->cutover_unix_ns = d.I64();

@@ -70,7 +70,7 @@ RecoveryReport Persister::Recover() {
         " shards (key routing would change; refusing)");
   }
 
-  const std::int64_t now_unix_ns = service_.UnixNsOfTime(service_.NowNs());
+  const std::int64_t now_unix_ns = service_.NowNs();
   RecoveryReport report;
   wals_.clear();
   wals_.reserve(shards);
@@ -192,19 +192,19 @@ void Persister::Disable(const char* what, int err) {
                what, std::strerror(err));
 }
 
-bool Persister::SnapshotNow(std::int64_t deadline_mono_ns) {
+bool Persister::SnapshotNow(std::int64_t deadline_ns) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (!enabled()) return false;
   bool all_ok = true;
   for (std::size_t i = 0; i < wals_.size(); ++i) {
     if (!enabled()) return false;
-    if (!SnapshotShard(i, deadline_mono_ns)) all_ok = false;
+    if (!SnapshotShard(i, deadline_ns)) all_ok = false;
   }
   return all_ok;
 }
 
 bool Persister::SnapshotShard(std::size_t shard,
-                              std::int64_t deadline_mono_ns) {
+                              std::int64_t deadline_ns) {
   // Roll the WAL generation under the shard lock: everything at or below
   // covered_seq is in now-closed (and fsynced) generations; everything
   // after lands in the fresh one and will replay over this snapshot.
@@ -242,7 +242,7 @@ bool Persister::SnapshotShard(std::size_t shard,
   header.cas_counter = meta.cas_counter;
   header.flush_at_unix_ns = meta.flush_at_unix_ns;
   header.flush_seq = meta.flush_seq;
-  header.captured_unix_ns = service_.UnixNsOfTime(service_.NowNs());
+  header.captured_unix_ns = service_.NowNs();
   payload.clear();
   EncodeSnapHeader(payload, header);
   frame(payload);
@@ -261,7 +261,7 @@ bool Persister::SnapshotShard(std::size_t shard,
   std::vector<SnapItem> items;
   std::size_t start = 0;
   for (;;) {
-    if (deadline_mono_ns != 0 && service_.NowNs() > deadline_mono_ns) {
+    if (deadline_ns != 0 && service_.NowNs() > deadline_ns) {
       // Drain budget exhausted: abandon this snapshot. The rolled WAL
       // generations still hold everything, so no data is at risk.
       failed = true;

@@ -306,13 +306,7 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
         case RecordType::kWalStore: {
           const KeyId id = HashStringKey(rec.key);
           ReplayEntry& entry = entry_of(id);
-          entry.item = RestoredItem{id,
-                                    rec.key,
-                                    rec.value,
-                                    rec.flags,
-                                    rec.expire_unix_ns,
-                                    rec.stored_unix_ns,
-                                    rec.cas,
+          entry.item = RestoredItem{rec.header(), id, rec.key, rec.value,
                                     order};
           entry.deleted = false;
           if (rec.cas > st.cas_counter) st.cas_counter = rec.cas;
@@ -325,8 +319,8 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
           const ItemHandle at = index.Find(HashStringKey(rec.key));
           if (at != kInvalidHandle && !entries[at].deleted) {
             RestoredItem& item = entries[at].item;
-            item.expire_unix_ns = rec.expire_unix_ns;
-            item.stored_unix_ns = rec.stored_unix_ns;
+            item.expire_at_ns = rec.expire_at_ns;
+            item.stored_at_ns = rec.stored_at_ns;
             item.order = order;
           }
           break;
@@ -352,8 +346,8 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
       continue;
     }
     bool dead = false;
-    if (item.expire_unix_ns != 0 &&
-        (item.expire_unix_ns < 0 || item.expire_unix_ns <= now_unix_ns)) {
+    if (item.expire_at_ns != 0 &&
+        (item.expire_at_ns < 0 || item.expire_at_ns <= now_unix_ns)) {
       dead = true;
     }
     for (const FlushEpoch& f : flushes) {
@@ -363,7 +357,7 @@ ShardRestoreState RecoverShardState(const std::string& dir, std::size_t shard,
       // dies; exact-cutover ties survive, matching the service's
       // flush_seq disambiguation for post-command stores.
       if (f.cutover_unix_ns <= now_unix_ns &&
-          item.stored_unix_ns < f.cutover_unix_ns) {
+          item.stored_at_ns < f.cutover_unix_ns) {
         dead = true;
       }
     }

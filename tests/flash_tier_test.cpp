@@ -80,8 +80,6 @@ FlashTier::DemoteMeta Meta(const std::string& key, const std::string& value,
   meta.band = band;
   meta.expire_at_ns = 0;
   meta.stored_at_ns = 1'000 + i;
-  meta.expire_unix_ns = 0;
-  meta.stored_unix_ns = 2'000'000 + i;
   meta.flush_seq = 0;
   return meta;
 }
@@ -114,8 +112,8 @@ TEST(FlashCodec, ItemRoundTrip) {
   in.flags = 0xDEADBEEF;
   in.cas = 42;
   in.penalty_us = 12'345;
-  in.expire_unix_ns = 1'700'000'000'000'000'000;
-  in.stored_unix_ns = 1'600'000'000'000'000'000;
+  in.expire_at_ns = 1'700'000'000'000'000'000;
+  in.stored_at_ns = 1'600'000'000'000'000'000;
   in.flush_seq = 9;
   in.cls = 5;
   in.band = 3;
@@ -131,8 +129,8 @@ TEST(FlashCodec, ItemRoundTrip) {
   EXPECT_EQ(out.flags, in.flags);
   EXPECT_EQ(out.cas, in.cas);
   EXPECT_EQ(out.penalty_us, in.penalty_us);
-  EXPECT_EQ(out.expire_unix_ns, in.expire_unix_ns);
-  EXPECT_EQ(out.stored_unix_ns, in.stored_unix_ns);
+  EXPECT_EQ(out.expire_at_ns, in.expire_at_ns);
+  EXPECT_EQ(out.stored_at_ns, in.stored_at_ns);
   EXPECT_EQ(out.flush_seq, in.flush_seq);
   EXPECT_EQ(out.cls, in.cls);
   EXPECT_EQ(out.band, in.band);
@@ -345,7 +343,7 @@ TEST(FlashTierTest, RecoverAdmitCallbackFilters) {
   FlashTier tier(SyncConfig(dir.path()));
   const KeyId reject = HashStringKey(Key(3));
   tier.Recover(0, [reject](KeyId id, const Record&, Slot* slot) {
-    slot->stored_at_ns = 42;  // admit fills monotonic fields
+    slot->stored_at_ns = 42;  // admit may still edit the slot
     return id != reject;
   });
   EXPECT_EQ(tier.ItemCount(0), 5u);
@@ -353,6 +351,32 @@ TEST(FlashTierTest, RecoverAdmitCallbackFilters) {
   const Slot* slot = tier.Find(0, HashStringKey(Key(0)));
   ASSERT_NE(slot, nullptr);
   EXPECT_EQ(slot->stored_at_ns, 42);
+}
+
+TEST(FlashTierTest, RecoverFillsEachSlotsHeaderFromItsRecord) {
+  TempDir dir;
+  std::vector<FlashTier::DemoteMeta> metas;
+  {
+    FlashTier tier(SyncConfig(dir.path()));
+    for (int i = 0; i < 4; ++i) {
+      metas.push_back(Meta(Key(i), Value(i), i));
+      metas.back().expire_at_ns = i == 0 ? 0 : 1'700'000'000'000'000'000 + i;
+      metas.back().flush_seq = 3 + i;
+      ASSERT_TRUE(tier.AppendItem(0, HashStringKey(Key(i)), metas.back()));
+    }
+  }
+  FlashTier tier(SyncConfig(dir.path()));
+  tier.Recover(0, AdmitAll);
+  for (int i = 0; i < 4; ++i) {
+    const Slot* slot = tier.Find(0, HashStringKey(Key(i)));
+    ASSERT_NE(slot, nullptr);
+    const ItemMeta& want = metas[i];
+    EXPECT_EQ(slot->flags, want.flags);
+    EXPECT_EQ(slot->cas, want.cas);
+    EXPECT_EQ(slot->expire_at_ns, want.expire_at_ns);
+    EXPECT_EQ(slot->stored_at_ns, want.stored_at_ns);
+    EXPECT_EQ(slot->flush_seq, want.flush_seq);
+  }
 }
 
 // ---- GC ----

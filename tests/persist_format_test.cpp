@@ -246,8 +246,8 @@ TEST(RecordTest, LayoutGhostsItemFooterRoundTrip) {
   item.key = "user:42";
   item.value = std::string("v\0v", 3);  // values are binary-safe
   item.flags = 77'000;
-  item.expire_unix_ns = -1;  // already-expired sentinel survives
-  item.stored_unix_ns = 1'699'999'999'000'000'000;
+  item.expire_at_ns = -1;  // already-expired sentinel survives
+  item.stored_at_ns = 1'699'999'999'000'000'000;
   item.cas = 9;
   item.order = 12'345;
   EncodeSnapItem(payload, item);
@@ -256,8 +256,8 @@ TEST(RecordTest, LayoutGhostsItemFooterRoundTrip) {
   EXPECT_EQ(item_out.key, item.key);
   EXPECT_EQ(item_out.value, item.value);
   EXPECT_EQ(item_out.flags, item.flags);
-  EXPECT_EQ(item_out.expire_unix_ns, item.expire_unix_ns);
-  EXPECT_EQ(item_out.stored_unix_ns, item.stored_unix_ns);
+  EXPECT_EQ(item_out.expire_at_ns, item.expire_at_ns);
+  EXPECT_EQ(item_out.stored_at_ns, item.stored_at_ns);
   EXPECT_EQ(item_out.cas, item.cas);
   EXPECT_EQ(item_out.order, item.order);
 
@@ -282,8 +282,8 @@ TEST(RecordTest, WalRecordsRoundTrip) {
   store.key = "k";
   store.value = "value-bytes";
   store.flags = 123;
-  store.expire_unix_ns = 0;
-  store.stored_unix_ns = 42;
+  store.expire_at_ns = 0;
+  store.stored_at_ns = 42;
   store.cas = 17;
   EncodeWalStore(payload, 77, store);
   WalRecord rec;
@@ -306,8 +306,8 @@ TEST(RecordTest, WalRecordsRoundTrip) {
   EncodeWalTouch(payload, 79, "warm", 1'000, 900);
   ASSERT_TRUE(DecodeWalRecord(View(payload), &rec));
   EXPECT_EQ(rec.type, RecordType::kWalTouch);
-  EXPECT_EQ(rec.expire_unix_ns, 1'000);
-  EXPECT_EQ(rec.stored_unix_ns, 900);
+  EXPECT_EQ(rec.expire_at_ns, 1'000);
+  EXPECT_EQ(rec.stored_at_ns, 900);
 
   payload.clear();
   EncodeWalFlush(payload, 80, 5'555);

@@ -138,6 +138,26 @@ TEST_F(ServiceExpiryTest, NegativeExptimeIsReapedOnTheNextSweep) {
   EXPECT_FALSE(Get("k"));
 }
 
+TEST_F(ServiceExpiryTest, AbsoluteExptimeLapsesAtItsSecond) {
+  // The wall clock reads a quarter second past a whole second when the
+  // service is built, and nothing pins its time: an absolute exptime still
+  // names a unix second, not that second plus the quarter.
+  constexpr std::int64_t kBaseS = 1'700'000'000;
+  clock_.SetWallBase(kBaseS * 1'000'000'000 + 250'000'000);
+  CacheServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.capacity_bytes = 16ULL * 1024 * 1024;
+  cfg.clock = &clock_;
+  service_ = std::make_unique<CacheService>(cfg, [](Bytes bytes) {
+    return MakeEngine("memcached", bytes, SizeClassConfig{});
+  });
+  Set("k", kBaseS + 100);
+  clock_.Advance(100s - 250ms - 1ns);  // 1 ns before second base + 100
+  EXPECT_TRUE(Get("k"));
+  clock_.Advance(1ns);
+  EXPECT_FALSE(Get("k"));
+}
+
 TEST_F(ServiceExpiryTest, RandomOpsReapExactlyTheDueKeys) {
   // Seeded sets, touches, gats and deletes with random TTLs against a
   // per-key model of deadlines: every sweep reaps exactly the keys whose
@@ -158,14 +178,14 @@ TEST_F(ServiceExpiryTest, RandomOpsReapExactlyTheDueKeys) {
     Rng rng(seed);
     std::map<std::string, std::int64_t> live;  // key -> deadline (0: none)
     const auto lapsed = [&](std::int64_t deadline) {
-      return deadline != 0 && clock_.NowNanos() >= deadline;
+      return deadline != 0 && service_->NowNs() >= deadline;
     };
     for (int step = 0; step < 4'000; ++step) {
       const std::string key = "k" + std::to_string(rng.NextBounded(40));
       // -1 (expired on arrival), 0 (never) or 1..20 s.
       const auto exptime = static_cast<std::int64_t>(rng.NextBounded(22)) - 1;
       const std::int64_t deadline =
-          service_->DeadlineFor(exptime, clock_.NowNanos());
+          service_->DeadlineFor(exptime, service_->NowNs());
       const auto it = live.find(key);
       const bool held = it != live.end() && !lapsed(it->second);
       const std::uint64_t dice = rng.NextBounded(100);
