@@ -95,7 +95,6 @@ class PamaPolicy final : public AllocationPolicy {
                                             SubclassId to) const {
     return migration_flow_[static_cast<std::size_t>(from) * num_bands_ + to];
   }
-  [[nodiscard]] std::uint32_t flow_bands() const noexcept { return num_bands_; }
 
  private:
   struct Candidate {

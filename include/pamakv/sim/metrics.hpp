@@ -63,9 +63,4 @@ void WriteWindowCsv(std::ostream& out, const SimResult& result,
 void WriteClassSlabCsv(std::ostream& out, const SimResult& result,
                        bool include_header);
 
-/// Writes per-subclass item series for one class:
-/// scheme,window,class,subclass,items.
-void WriteSubclassCsv(std::ostream& out, const SimResult& result, ClassId cls,
-                      std::uint32_t num_subclasses, bool include_header);
-
 }  // namespace pamakv

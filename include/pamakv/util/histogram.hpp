@@ -1,80 +1,11 @@
-// Lightweight statistics helpers: streaming moments, log-spaced histograms,
-// and exact quantiles over retained samples. Used by trace analysis, the
-// penalty model validation, and the metrics reporters.
+// Exact quantiles over retained samples, for the load generator, the
+// figure benches and tests. The log-bucketed latency histogram is
+// util::Histogram (util/metrics.hpp).
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pamakv {
-
-/// Streaming mean / variance / min / max (Welford).
-class RunningStats {
- public:
-  void Add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-
-  void Reset() noexcept { *this = RunningStats{}; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Histogram with logarithmically spaced buckets over [min, max]; values
-/// outside are clamped into the edge buckets. Suited to item sizes (bytes,
-/// spanning 5 decades) and miss penalties (sub-ms .. seconds).
-class LogHistogram {
- public:
-  LogHistogram(double min_value, double max_value, std::size_t buckets);
-
-  void Add(double value, std::uint64_t weight = 1) noexcept;
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  /// Geometric midpoint of bucket i (representative value).
-  [[nodiscard]] double BucketMid(std::size_t i) const;
-  [[nodiscard]] double BucketLow(std::size_t i) const;
-  [[nodiscard]] double BucketHigh(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Approximate quantile q in [0,1] using bucket interpolation. The
-  /// target rank is max(1, ceil(q * total)) — 1-based like a sorted
-  /// vector — so leading empty buckets can never answer for a nonzero
-  /// population and q=1.0 lands in the last occupied bucket. Empty
-  /// histogram => 0.
-  [[nodiscard]] double Quantile(double q) const;
-
-  /// Accumulates `other` into this histogram. Identical layouts (same
-  /// range and bucket count) add bucket-wise; mismatched layouts re-bin
-  /// each foreign bucket at its geometric midpoint into this histogram's
-  /// buckets — bounded error of one bucket width instead of the silently
-  /// wrong tail a positional copy would produce.
-  void Merge(const LogHistogram& other);
-
-  void Reset() noexcept;
-
- private:
-  [[nodiscard]] std::size_t BucketIndex(double value) const noexcept;
-
-  double log_min_;
-  double log_max_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Exact quantiles from a retained sample vector (for tests and small runs).
 [[nodiscard]] double ExactQuantile(std::vector<double> values, double q);

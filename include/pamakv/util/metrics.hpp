@@ -3,11 +3,10 @@
 //
 // It holds two things, in registration order:
 //
-//  * Histograms — log-spaced buckets over [min, max] (same bucket math as
-//    util/histogram.hpp's LogHistogram) with one relaxed atomic per
-//    bucket plus count/sum, built for latency recording: Observe() is
-//    three relaxed fetch_adds and never allocates, which keeps the
-//    zero-steady-state-alloc harness green.
+//  * Histograms — log-spaced buckets over [min, max] with one relaxed
+//    atomic per bucket plus count/sum, built for latency recording:
+//    Observe() is three relaxed fetch_adds and never allocates, which
+//    keeps the zero-steady-state-alloc harness green.
 //  * Collectors — a callback that appends gauge samples to a snapshot.
 //    Values derived from state behind existing locks (per-shard engine
 //    and flash introspection, connection counts) come from one collector
@@ -42,22 +41,26 @@ struct HistogramSnapshot {
   std::uint64_t total = 0;
   double sum = 0.0;  ///< sum of observed values
 
-  /// Quantile by bucket midpoint against the same edge conventions the
-  /// LogHistogram fix locked in: empty => 0, q clamps to [0,1], the
-  /// target rank is max(1, ceil(q * total)).
+  /// The geometric midpoint of the bucket that holds the target rank
+  /// max(1, ceil(q * total)), 1-based like an index into the sorted
+  /// samples, so leading empty buckets never answer for a nonzero
+  /// population and q = 1 lands in the last occupied bucket. q clamps to
+  /// [0, 1]; an empty snapshot answers 0.
   [[nodiscard]] double Quantile(double q) const;
 
   /// Accumulates `other` into this snapshot. Identical bucket layouts add
-  /// directly; mismatched layouts are re-binned by bucket midpoint (same
-  /// policy as LogHistogram::Merge) so a p999 over merged data is never
-  /// computed against the wrong edges.
+  /// bucket-wise; a mismatched layout re-bins each foreign bucket at its
+  /// midpoint into these buckets (clamped into the last), off by at most
+  /// one bucket width where a positional copy would shift every count to
+  /// the wrong value range and misreport the tail.
   void Merge(const HistogramSnapshot& other);
 };
 
-/// Log-bucketed histogram with atomic buckets. Bucket index math is
-/// identical to LogHistogram's (values outside [min, max] clamp into the
-/// edge buckets); counts and sum are relaxed atomics so Observe() is safe
-/// from any thread and allocation-free.
+/// Log-bucketed histogram with atomic buckets: bucket i of n holds the
+/// values whose log lies in the i-th of n equal steps from log(min) to
+/// log(max), and values outside [min, max] (zero and negatives included)
+/// clamp into the edge buckets. Counts and sum are relaxed atomics so
+/// Observe() is safe from any thread and allocation-free.
 class Histogram {
  public:
   Histogram(double min_value, double max_value, std::size_t buckets);

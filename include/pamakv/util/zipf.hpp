@@ -34,23 +34,6 @@ class ZipfSampler {
   double s_;
 };
 
-/// Lognormal sampler clipped to [min, max]; parameterized by the mean and
-/// sigma of the underlying normal in log-space.
-class LognormalSampler {
- public:
-  LognormalSampler(double mu_log, double sigma_log, double min_value,
-                   double max_value) noexcept
-      : mu_(mu_log), sigma_(sigma_log), min_(min_value), max_(max_value) {}
-
-  [[nodiscard]] double Sample(Rng& rng) const;
-
- private:
-  double mu_;
-  double sigma_;
-  double min_;
-  double max_;
-};
-
 /// Samples an index according to a fixed discrete weight vector.
 /// O(log n) per draw via the cumulative table; fine for small tables
 /// (size-class mixes have ~a dozen entries).

@@ -92,21 +92,4 @@ void WriteClassSlabCsv(std::ostream& out, const SimResult& result,
   }
 }
 
-void WriteSubclassCsv(std::ostream& out, const SimResult& result, ClassId cls,
-                      std::uint32_t num_subclasses, bool include_header) {
-  CsvWriter csv(out);
-  if (include_header) {
-    csv.WriteHeader({"scheme", "workload", "window", "class", "subclass",
-                     "items"});
-  }
-  for (const auto& w : result.windows) {
-    const std::size_t base = static_cast<std::size_t>(cls) * num_subclasses;
-    if (base + num_subclasses > w.subclass_items.size()) continue;
-    for (std::uint32_t s = 0; s < num_subclasses; ++s) {
-      csv.WriteRow(result.scheme, result.workload, w.window_index, cls, s,
-                   w.subclass_items[base + s]);
-    }
-  }
-}
-
 }  // namespace pamakv

@@ -1,112 +1,9 @@
 #include "pamakv/util/histogram.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <stdexcept>
+#include <cstddef>
 
 namespace pamakv {
-
-void RunningStats::Add(double x) noexcept {
-  ++count_;
-  sum_ += x;
-  if (count_ == 1) {
-    mean_ = x;
-    min_ = x;
-    max_ = x;
-    m2_ = 0.0;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const noexcept {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-LogHistogram::LogHistogram(double min_value, double max_value,
-                           std::size_t buckets) {
-  if (min_value <= 0.0 || max_value <= min_value || buckets == 0) {
-    throw std::invalid_argument("LogHistogram: need 0 < min < max, buckets > 0");
-  }
-  log_min_ = std::log(min_value);
-  log_max_ = std::log(max_value);
-  counts_.assign(buckets, 0);
-}
-
-std::size_t LogHistogram::BucketIndex(double value) const noexcept {
-  if (value <= 0.0) return 0;
-  const double frac = (std::log(value) - log_min_) / (log_max_ - log_min_);
-  const auto idx = static_cast<std::int64_t>(frac * static_cast<double>(counts_.size()));
-  return static_cast<std::size_t>(
-      std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1));
-}
-
-void LogHistogram::Add(double value, std::uint64_t weight) noexcept {
-  counts_[BucketIndex(value)] += weight;
-  total_ += weight;
-}
-
-double LogHistogram::BucketLow(std::size_t i) const {
-  const double step = (log_max_ - log_min_) / static_cast<double>(counts_.size());
-  return std::exp(log_min_ + step * static_cast<double>(i));
-}
-
-double LogHistogram::BucketHigh(std::size_t i) const {
-  const double step = (log_max_ - log_min_) / static_cast<double>(counts_.size());
-  return std::exp(log_min_ + step * static_cast<double>(i + 1));
-}
-
-double LogHistogram::BucketMid(std::size_t i) const {
-  return std::sqrt(BucketLow(i) * BucketHigh(i));
-}
-
-double LogHistogram::Quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank is 1-based like an index into the sorted sample vector: with
-  // `target = q * total` truncated, q up to 1/total gave target 0 and the
-  // scan stopped on bucket 0 even when it was empty — every low quantile
-  // of a high-valued distribution misreported the histogram minimum.
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum >= target) return BucketMid(i);
-  }
-  return BucketMid(counts_.size() - 1);
-}
-
-void LogHistogram::Merge(const LogHistogram& other) {
-  if (other.total_ == 0) return;
-  if (other.log_min_ == log_min_ && other.log_max_ == log_max_ &&
-      other.counts_.size() == counts_.size()) {
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
-    total_ += other.total_;
-    return;
-  }
-  // Different layout: a positional bucket copy would shift every count to
-  // the wrong value range (a 32-bucket p999 read against 64-bucket edges
-  // lands decades off). Re-bin by each source bucket's representative
-  // value instead; Add() clamps into our edge buckets as usual.
-  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
-    if (other.counts_[i] != 0) Add(other.BucketMid(i), other.counts_[i]);
-  }
-}
-
-void LogHistogram::Reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
 
 double ExactQuantile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;

@@ -50,7 +50,8 @@ Histogram::Histogram(double min_value, double max_value, std::size_t buckets) {
 }
 
 std::size_t Histogram::BucketIndex(double value) const noexcept {
-  // Same clamp-into-edge-buckets convention as LogHistogram::BucketIndex.
+  // Out-of-range values (non-positive ones too) clamp into the edge
+  // buckets.
   if (value <= 0.0) return 0;
   const double frac = (std::log(value) - log_min_) / (log_max_ - log_min_);
   const auto idx =

@@ -52,11 +52,6 @@ std::uint64_t ZipfSampler::Sample(Rng& rng) const {
   }
 }
 
-double LognormalSampler::Sample(Rng& rng) const {
-  const double draw = std::exp(mu_ + sigma_ * rng.NextGaussian());
-  return std::clamp(draw, min_, max_);
-}
-
 DiscreteSampler::DiscreteSampler(std::vector<double> weights) {
   if (weights.empty()) {
     throw std::invalid_argument("DiscreteSampler: empty weight vector");

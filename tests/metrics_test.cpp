@@ -17,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "pamakv/util/histogram.hpp"
 #include "pamakv/util/rng.hpp"
 
 namespace pamakv::util {
@@ -38,21 +37,36 @@ TEST(MetricsHistogramTest, SnapshotCountEqualsBucketSum) {
 }
 
 TEST(MetricsHistogramTest, QuantileAgreesWithLogHistogram) {
-  // Same bucket math as util/histogram.hpp's LogHistogram, same rank
-  // convention — so a given stream answers the same from both.
-  Histogram h(1.0, 1e4, 16);
-  LogHistogram reference(1.0, 1e4, 16);
+  // A log histogram by its definition, kept beside the atomic one: of n
+  // buckets over [min, max], v lands in floor(n * (log v - log min) /
+  // (log max - log min)), clamped to the edge buckets, and a quantile is
+  // the geometric midpoint of the bucket holding rank max(1, ceil(q *
+  // total)). A given stream answers the same from both.
+  constexpr double kMin = 1.0;
+  constexpr double kMax = 1e4;
+  constexpr std::int64_t kBuckets = 16;
+  constexpr int kValues = 500;
+  Histogram h(kMin, kMax, kBuckets);
+  const double step = (std::log(kMax) - std::log(kMin)) / kBuckets;
+  std::vector<std::uint64_t> counts(kBuckets, 0);
   Rng rng(2);
-  for (int i = 0; i < 500; ++i) {
+  for (int i = 0; i < kValues; ++i) {
     const double v = std::exp(rng.NextDouble() * std::log(1e4));
     h.Observe(v);
-    reference.Add(v);
+    const auto b = static_cast<std::int64_t>(
+        (std::log(v) - std::log(kMin)) / (std::log(kMax) - std::log(kMin)) *
+        kBuckets);
+    ++counts[static_cast<std::size_t>(std::clamp<std::int64_t>(b, 0, kBuckets - 1))];
   }
   const HistogramSnapshot snap = h.Snapshot();
   for (const double q : {0.01, 0.5, 0.9, 0.99, 0.999}) {
-    EXPECT_NEAR(snap.Quantile(q), reference.Quantile(q),
-                1e-9 * reference.Quantile(q))
-        << "q=" << q;
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(std::ceil(q * kValues)));
+    std::size_t b = 0;
+    for (std::uint64_t cum = counts[0]; cum < rank;) cum += counts[++b];
+    const double mid =
+        std::exp(std::log(kMin) + step * (static_cast<double>(b) + 0.5));
+    EXPECT_NEAR(snap.Quantile(q), mid, 1e-9 * mid) << "q=" << q;
   }
 }
 

@@ -159,10 +159,6 @@ TEST(SimulatorTest, CsvWritersProduceRows) {
   std::ostringstream slabs_csv;
   WriteClassSlabCsv(slabs_csv, result, true);
   EXPECT_NE(slabs_csv.str().find("class"), std::string::npos);
-
-  std::ostringstream sub_csv;
-  WriteSubclassCsv(sub_csv, result, 0, engine->num_subclasses(), true);
-  EXPECT_NE(sub_csv.str().find("subclass"), std::string::npos);
 }
 
 }  // namespace

@@ -74,26 +74,6 @@ TEST(ZipfTest, InvalidParamsThrow) {
   EXPECT_THROW(ZipfSampler(10, -1.0), std::invalid_argument);
 }
 
-TEST(LognormalTest, RespectsClipBounds) {
-  LognormalSampler s(std::log(100.0), 3.0, 10.0, 1000.0);
-  Rng rng(7);
-  for (int i = 0; i < 10000; ++i) {
-    const double v = s.Sample(rng);
-    EXPECT_GE(v, 10.0);
-    EXPECT_LE(v, 1000.0);
-  }
-}
-
-TEST(LognormalTest, MedianNearExpMu) {
-  LognormalSampler s(std::log(100.0), 0.5, 1.0, 1e9);
-  Rng rng(8);
-  std::vector<double> samples;
-  for (int i = 0; i < 20000; ++i) samples.push_back(s.Sample(rng));
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  EXPECT_NEAR(samples[samples.size() / 2], 100.0, 5.0);
-}
-
 TEST(DiscreteSamplerTest, RespectsWeights) {
   DiscreteSampler s({1.0, 3.0, 0.0, 6.0});
   Rng rng(9);
