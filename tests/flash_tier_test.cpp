@@ -355,14 +355,17 @@ TEST(FlashTierTest, RecoverAdmitCallbackFilters) {
 
 TEST(FlashTierTest, RecoverFillsEachSlotsHeaderFromItsRecord) {
   TempDir dir;
-  std::vector<FlashTier::DemoteMeta> metas;
+  std::vector<ItemMeta> headers;
   {
     FlashTier tier(SyncConfig(dir.path()));
     for (int i = 0; i < 4; ++i) {
-      metas.push_back(Meta(Key(i), Value(i), i));
-      metas.back().expire_at_ns = i == 0 ? 0 : 1'700'000'000'000'000'000 + i;
-      metas.back().flush_seq = 3 + i;
-      ASSERT_TRUE(tier.AppendItem(0, HashStringKey(Key(i)), metas.back()));
+      const std::string key = Key(i);
+      const std::string value = Value(i);
+      FlashTier::DemoteMeta meta = Meta(key, value, i);
+      meta.expire_at_ns = i == 0 ? 0 : 1'700'000'000'000'000'000 + i;
+      meta.flush_seq = 3 + i;
+      ASSERT_TRUE(tier.AppendItem(0, HashStringKey(key), meta));
+      headers.push_back(meta.header());
     }
   }
   FlashTier tier(SyncConfig(dir.path()));
@@ -370,7 +373,7 @@ TEST(FlashTierTest, RecoverFillsEachSlotsHeaderFromItsRecord) {
   for (int i = 0; i < 4; ++i) {
     const Slot* slot = tier.Find(0, HashStringKey(Key(i)));
     ASSERT_NE(slot, nullptr);
-    const ItemMeta& want = metas[i];
+    const ItemMeta& want = headers[i];
     EXPECT_EQ(slot->flags, want.flags);
     EXPECT_EQ(slot->cas, want.cas);
     EXPECT_EQ(slot->expire_at_ns, want.expire_at_ns);
